@@ -9,6 +9,7 @@ from .boundary import (
     Border,
     Boundary,
     are_neighbors,
+    center_closest,
     cluster_border,
     default_alpha_s,
     ncbe,
@@ -34,7 +35,6 @@ from .planner import (
     Footprint,
     MotionPath,
     RrtParams,
-    pibc_check,
     plan_route,
     rrt_plan,
 )
@@ -61,15 +61,14 @@ from .switching import (
 from .synth import Shape, StructureSpec, degrade, generate
 
 __all__ = [
-    "Border", "Boundary", "are_neighbors", "cluster_border", "default_alpha_s",
-    "ncbe", "point_in_boundary",
+    "Border", "Boundary", "are_neighbors", "center_closest", "cluster_border",
+    "default_alpha_s", "ncbe", "point_in_boundary",
     "Frame", "PlanePatch", "PointCloud", "RigidTransform", "extract_plane_ransac",
     "load_cloud", "passthrough_filter", "project_to_2d", "transform_cloud",
     "transform_point", "voxel_downsample",
     "SteelNavError",
     "StructureGraph", "Vertex", "VertexKind", "build_graph", "fit_principal_line",
-    "Config", "Footprint", "MotionPath", "RrtParams", "pibc_check", "plan_route",
-    "rrt_plan",
+    "Config", "Footprint", "MotionPath", "RrtParams", "plan_route", "rrt_plan",
     "Multigraph", "RoutePlan", "brute_force_ocpp", "dijkstra", "euler_trail",
     "min_weight_pairing", "vocpp",
     "ClusterSet", "GmmModel", "em_gmm_fit", "segment_structure",

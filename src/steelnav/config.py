@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
+from .cloud import RigidTransform
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -95,7 +97,59 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+# Type of each leaf whose default is null; every other leaf takes the type
+# of its default.  Leaves typed float also accept integers.
+_NULLABLE = {
+    "cloud.passthrough": dict,
+    "cloud.voxel_leaf": float,
+    "boundary.alpha_s": float,
+    "boundary.eps_border": float,
+    "graph.d_min": float,
+    "route.v_t": int,
+    "planner.step": float,
+    "planner.goal_tol": float,
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _numbers_like(value, default) -> bool:
+    """Numbers nested in lists of the same lengths as `default`."""
+    if isinstance(default, list):
+        return isinstance(value, list) and len(value) == len(default) and \
+            all(map(_numbers_like, value, default))
+    return _is_number(value)
+
+
+def _type_ok(value, kind, default) -> bool:
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind in (float, list):
+        return _numbers_like(value, default)
+    return isinstance(value, kind)
+
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               list: "a list of numbers shaped like the default", dict: "an object"}
+
+
+def _check_types(cfg: dict, defaults: dict = DEFAULTS, path: str = ""):
+    for key, default in defaults.items():
+        name, value = path + key, cfg[key]
+        if isinstance(default, dict) and default:
+            _check_types(value, default, name + ".")
+            continue
+        kind = _NULLABLE.get(name, type(default))
+        if value is None and name in _NULLABLE:
+            continue
+        _require(_type_ok(value, kind, default),
+                 f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+
+
 def validate(cfg: dict) -> dict:
+    _check_types(cfg)
     _require(cfg["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {cfg['schema_version']}")
     pt = cfg["cloud"]["passthrough"]
@@ -103,6 +157,8 @@ def validate(cfg: dict) -> dict:
         _require(set(pt) == {"axis", "lo", "hi"},
                  "passthrough needs exactly axis/lo/hi")
         _require(pt["axis"] in ("x", "y", "z"), "passthrough axis must be x, y, or z")
+        _require(_is_number(pt["lo"]) and _is_number(pt["hi"]),
+                 "passthrough lo and hi must be finite numbers")
         _require(pt["lo"] <= pt["hi"], "passthrough lo must be <= hi")
     leaf = cfg["cloud"]["voxel_leaf"]
     _require(leaf is None or leaf > 0, "voxel_leaf must be positive")
@@ -110,6 +166,12 @@ def validate(cfg: dict) -> dict:
     _require(cfg["foot"]["width"] > 0 and cfg["foot"]["length"] > 0,
              "foot dimensions must be positive")
     _require(cfg["foot"]["tolerance"] >= 0, "foot tolerance must be >= 0")
+    _require(cfg["foot"]["n_anchors"] >= 1 and cfg["foot"]["m_neighbors"] >= 1,
+             "foot n_anchors and m_neighbors must be >= 1")
+    try:
+        RigidTransform(cfg["transform"]["rotation"], cfg["transform"]["translation"])
+    except ValueError as exc:
+        raise ConfigError(f"transform: {exc}") from None
     _require(cfg["height"]["tol"] >= 0, "height tol must be >= 0")
     b = cfg["boundary"]
     _require(b["alpha_s"] is None or b["alpha_s"] > 0, "alpha_s must be positive")
@@ -126,6 +188,8 @@ def validate(cfg: dict) -> dict:
              "planner footprint dimensions must be positive")
     _require(0.0 <= p["goal_bias"] <= 1.0, "goal_bias must be in [0, 1]")
     _require(p["rule"] in ("all", "any"), "planner rule must be 'all' or 'any'")
+    _require(p["n_candidates"] >= 1 and p["m_neighbors"] >= 1,
+             "planner n_candidates and m_neighbors must be >= 1")
     return cfg
 
 

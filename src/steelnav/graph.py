@@ -63,9 +63,6 @@ class StructureGraph:
             "component_count": self.component_count,
         }
 
-    def to_edge_list(self) -> str:
-        return "".join(f"{e.u} {e.v} {e.weight!r}\n" for e in self.edges)
-
 
 @dataclass(frozen=True)
 class PrincipalLine:

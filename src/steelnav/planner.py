@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary
+from .boundary import Boundary, center_closest
 from .errors import EmptyBoundaries, GoalInvalid, NoPathFound, StartInvalid
 from .route import RoutePlan
 
@@ -123,11 +123,11 @@ class PibcChecker:
         self.m = m
         self.rule = rule
         self.centers = np.array([b.center[:2] for b in boundaries])
-        self._pts = [b.points[:, :2] for b in boundaries]
-        # distance of each boundary point to its own cluster center
-        self._dn = [np.linalg.norm(b.points[:, :2] - b.center[:2], axis=1)
-                    for b in boundaries]
-        all_pts = np.vstack(self._pts)
+        # 2D boundary points, NaN-padded to one (clusters, max length, 2) array
+        self._pts = np.full((len(boundaries), max(map(len, boundaries)), 2), np.nan)
+        for j, b in enumerate(boundaries):
+            self._pts[j, :len(b)] = b.points[:, :2]
+        all_pts = np.vstack([b.points[:, :2] for b in boundaries])
         self.bbox_lo = all_pts.min(axis=0)
         self.bbox_hi = all_pts.max(axis=0)
 
@@ -137,32 +137,13 @@ class PibcChecker:
         d_centers = np.linalg.norm(points[:, None, :] - self.centers[None, :, :],
                                    axis=2)
         cand = np.argsort(d_centers, axis=1, kind="stable")[:, :self.n_candidates]
-        ok = np.zeros(len(points), dtype=bool)
-        for j in range(len(self.boundaries)):
-            rows = np.nonzero(np.any(cand == j, axis=1) & ~ok)[0]
-            if rows.size == 0:
-                continue
-            sub = points[rows]
-            d_s = np.linalg.norm(sub - self.centers[j], axis=1)
-            d = np.linalg.norm(sub[:, None, :] - self._pts[j][None, :, :], axis=2)
-            m = min(self.m, d.shape[1])
-            nearest = np.argsort(d, axis=1, kind="stable")[:, :m]
-            dn = self._dn[j][nearest]
-            if self.rule == "all":
-                inside = d_s < dn.min(axis=1)
-            else:
-                inside = d_s < dn.max(axis=1)
-            ok[rows] |= inside
-        return ok
+        ok = center_closest(np.repeat(points, cand.shape[1], axis=0),
+                            self._pts[cand.ravel()], self.centers[cand.ravel()],
+                            self.m, self.rule)
+        return ok.reshape(cand.shape).any(axis=1)
 
     def check(self, c: Config, fp: Footprint) -> bool:
         return bool(np.all(self.points_inside(footprint_points(c, fp))))
-
-
-def pibc_check(boundaries: list[Boundary], c: Config, fp: Footprint,
-               n_candidates: int = 3, m: int = 5, rule: str = "all") -> bool:
-    """One-shot configuration validity check (builds caches per call)."""
-    return PibcChecker(boundaries, n_candidates, m, rule).check(c, fp)
 
 
 def _interp_configs(a: Config, b: Config, spacing: float):
@@ -204,11 +185,13 @@ def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
 
     nodes = [start]
     parents = [-1]
-    states = np.array([[start.x, start.y, start.theta]])
+    states = np.empty((params.max_iters + 1, 3))
+    states[0] = start.x, start.y, start.theta
 
     def metric(sample):
-        d_xy = np.hypot(states[:, 0] - sample[0], states[:, 1] - sample[1])
-        d_th = np.abs((states[:, 2] - sample[2] + math.pi) % (2 * math.pi) - math.pi)
+        s = states[:len(nodes)]
+        d_xy = np.hypot(s[:, 0] - sample[0], s[:, 1] - sample[1])
+        d_th = np.abs((s[:, 2] - sample[2] + math.pi) % (2 * math.pi) - math.pi)
         return np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)
 
     for _ in range(params.max_iters):
@@ -229,12 +212,13 @@ def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
         new = Config(near.x + delta[0], near.y + delta[1], near.theta + dtheta)
 
         segment = _interp_configs(near, new, params.step / 2.0)
-        if not all(checker.check(c, fp) for c in segment):
+        if not checker.points_inside(
+                np.vstack([footprint_points(c, fp) for c in segment])).all():
             continue
 
+        states[len(nodes)] = new.x, new.y, new.theta
         nodes.append(new)
         parents.append(ni)
-        states = np.vstack([states, [new.x, new.y, new.theta]])
 
         if np.linalg.norm(new.xy - goal.xy) <= params.goal_tol:
             path = []

@@ -57,10 +57,6 @@ class ClusterSet:
     def cluster_points(self, i: int) -> np.ndarray:
         return self.points[self.labels == i]
 
-    def cluster_mean(self, i: int) -> np.ndarray:
-        pts = self.cluster_points(i)
-        return pts.mean(axis=0) if len(pts) else self.means[i]
-
     def to_json(self):
         return {
             "n_c": self.n_c,

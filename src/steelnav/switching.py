@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary
+from .boundary import Boundary, center_closest
 from .cloud import PointCloud, RigidTransform, transform_point
 from .errors import DegenerateFrame, EmptyBoundary, InconsistentInput
 
@@ -152,20 +152,8 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
         corners = [c1, c2, c3, c4]
         mids = [(c1 + c2) / 2, (c3 + c4) / 2, (c1 + c3) / 2, (c2 + c4) / 2]
 
-        ok = True
-        for r in corners + mids:
-            d_r = float(np.linalg.norm(r - centroid))
-            d_rb = np.linalg.norm(b.points - r, axis=1)
-            nearest = np.argsort(d_rb, kind="stable")[:fp.m_neighbors]
-            d_q = np.linalg.norm(b.points[nearest] - centroid, axis=1)
-            for dq in d_q:
-                inside = d_r < dq
-                within_tol = d_r > 0 and (d_r - dq) / d_r < fp.tolerance
-                if not (inside or within_tol):
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = bool(np.all(center_closest(np.array(corners + mids), b.points, centroid,
+                                        fp.m_neighbors, "all", fp.tolerance)))
         pose = None
         if ok:
             r_c = np.mean(corners, axis=0)

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
 Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
-point-in-polygon, rectangle-union containment, and a from-scratch
-adjusted Rand index.  None of these share code with the package under
-test.
+point-in-polygon, rectangle-union containment, a from-scratch adjusted
+Rand index, an all-pairs farthest pair, per-window slicing boundary
+points and a per-point center-closest test.  None of these share code
+with the package under test.
 """
 import itertools
 import math
@@ -186,3 +187,52 @@ def check_route_plan(plan, vertices, edges, v_s, v_t):
         total += w * visits
     assert step_counts == visit_counts
     assert math.isclose(total, plan.total_length, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _sq_dist(a, b):
+    """Squared Euclidean distance, coordinates summed in order as plain floats."""
+    return sum((float(x) - float(y)) * (float(x) - float(y)) for x, y in zip(a, b))
+
+
+def _dist(a, b):
+    return math.sqrt(_sq_dist(a, b))
+
+
+def farthest_pair(points):
+    """Lexicographically first (i, j), i < j, of maximum squared distance."""
+    best, pair = -1.0, None
+    for i, j in itertools.combinations(range(len(points)), 2):
+        d2 = _sq_dist(points[i], points[j])
+        if d2 > best:
+            best, pair = d2, (i, j)
+    return pair
+
+
+def center_closest(point, boundary, center, m, rule="all", tol=0.0):
+    """One point against one boundary, looping over its m nearest points.
+
+    Boundary points equally far from `point` are taken in index order.
+    """
+    d_r = _dist(point, center)
+    order = sorted(range(len(boundary)), key=lambda i: (_dist(point, boundary[i]), i))
+    verdicts = []
+    for i in order[:m]:
+        d_q = _dist(boundary[i], center)
+        verdicts.append(d_r < d_q or (d_r > 0 and (d_r - d_q) / d_r < tol))
+    return all(verdicts) if rule == "all" else any(verdicts)
+
+
+def ncbe_points(points, alpha_s):
+    """Slicing boundary points as a set, one full mask per window."""
+    out = set()
+    for axis in range(points.shape[1]):
+        coord = points[:, axis]
+        lo, hi = float(coord.min()), float(coord.max())
+        for i in range(int(math.ceil((hi - lo) / alpha_s)) + 1):
+            window = points[np.abs(coord - (lo + i * alpha_s)) <= alpha_s / 2]
+            if len(window) == 1:
+                out.add(tuple(window[0]))
+            elif len(window) > 1:
+                a, b = farthest_pair(window)
+                out.update((tuple(window[a]), tuple(window[b])))
+    return out

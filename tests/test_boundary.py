@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from steelnav import boundary as bd
 from steelnav import (
     Boundary,
     are_neighbors,
+    center_closest,
     cluster_border,
     default_alpha_s,
     ncbe,
     point_in_boundary,
 )
 from steelnav.errors import EmptyBoundary, EmptyInput, InvalidAlpha
+from steelnav.planner import PibcChecker
 
+import oracles
 from oracles import dist_to_polygon_edge, point_in_polygon
 
 UNIT_SQUARE = np.array([[0.0, 0], [1.0, 0], [1.0, 1], [0.0, 1]])
@@ -222,3 +226,140 @@ class TestAreNeighbors:
         b = grid_square_boundary(2.0, 0.0)
         border = cluster_border(a, b, eps_border=0.02)
         assert not are_neighbors(border, l_b=0.001)
+
+
+CUTOFF = bd._HULL_MIN_POINTS
+
+
+def shuffled_lattice(rng, *axes):
+    """Integer lattice in shuffled order, with some points repeated."""
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    grid = np.vstack([grid, grid[rng.choice(len(grid), len(grid) // 4)]])
+    return grid[rng.permutation(len(grid))].astype(float)
+
+
+class TestFarthestPairOracle:
+    def check(self, pts):
+        assert bd._farthest_pair(pts) == oracles.farthest_pair(pts)
+
+    @pytest.mark.parametrize("n", [5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random(self, n, dim):
+        rng = np.random.default_rng(n * dim)
+        self.check(rng.normal(size=(n, dim)))
+        self.check(rng.uniform(0, [0.02, 1.0, 1.0][:dim], (n, dim)))  # a thin slab
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lattices_with_ties_and_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(shuffled_lattice(rng, np.arange(12), np.arange(9)))
+        self.check(shuffled_lattice(rng, np.arange(5), np.arange(5), np.arange(4)))
+        self.check(shuffled_lattice(rng, np.arange(4), np.arange(4)))  # below the cutoff
+
+    @pytest.mark.parametrize("flat_axis", [0, 1, 2])
+    def test_exactly_flat_3d(self, flat_axis):
+        rng = np.random.default_rng(flat_axis)
+        pts = rng.uniform(-1, 1, (250, 3))
+        pts[:, flat_axis] = 0.7
+        self.check(pts)
+        self.check(shuffled_lattice(rng, np.arange(10), np.arange(10), [3.0]))
+
+    def test_collinear(self):
+        t = np.random.default_rng(5).uniform(-1, 1, 150)
+        self.check(np.column_stack([0.5 + t, -1.0 + 2 * t]))  # tilted: Qhull rejects it
+        self.check(np.column_stack([t, np.zeros_like(t), np.ones_like(t)]))  # one live axis
+        self.check(np.column_stack([np.round(t * 4), np.zeros_like(t)]))  # ties on a line
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_extreme_points_ulps_apart(self, dim, seed):
+        # Qhull keeps one of two corner points a few ulps apart as a vertex
+        # and the other as coplanar; which one is farther from the far end
+        # depends on the far end's direction.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, (100, dim))
+        ia, ib, ip = rng.choice(100, 3, replace=False)
+        pts[[ia, ib]] = 2.0
+        pts[ia, 0] += 4.44e-16 * (1 + seed)
+        pts[ib, 1] += 4.44e-16 * (1 + seed)
+        d = rng.normal(size=dim)
+        d[:2] = -np.abs(d[:2]) - [0.5, 0.0]
+        pts[ip] = 2.0 + 10 * d / np.linalg.norm(d)
+        self.check(pts)
+
+    def test_large_windows_scan_only_the_hull(self, monkeypatch):
+        scanned = []
+        scan = bd._scan_farthest_pair
+        monkeypatch.setattr(bd, "_scan_farthest_pair",
+                            lambda pts: scanned.append(len(pts)) or scan(pts))
+        rng = np.random.default_rng(3)
+        flat = np.column_stack([rng.uniform(0, 1, (2000, 2)), np.zeros(2000)])
+        for pts in (rng.uniform(0, 1, (2000, 2)), rng.uniform(0, 1, (2000, 3)), flat):
+            scanned.clear()
+            self.check(pts)
+            assert len(scanned) == 1 and scanned[0] < 300
+
+
+class TestNcbeWindowsOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_full_mask_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        # half-integer lattice: points fall exactly on window edges
+        pts = shuffled_lattice(rng, np.arange(13) / 2, np.arange(7) / 2) + [0.25, 3.0]
+        noisy = rng.uniform(0, 2, (400, 3))
+        for p, alpha in ((pts, 1.0), (pts, 0.5), (noisy, 0.3)):
+            got = {tuple(q) for q in ncbe(p, alpha).points}
+            assert got == oracles.ncbe_points(p, alpha)
+
+
+def center_closest_cases():
+    rng = np.random.default_rng(12)
+    lattice = shuffled_lattice(rng, np.arange(7), np.arange(5))
+    ring = lattice[(lattice[:, 0] % 6 == 0) | (lattice[:, 1] % 4 == 0)]
+    probes = np.vstack([shuffled_lattice(rng, np.arange(-1, 8) / 2, np.arange(-1, 6) / 2),
+                        rng.uniform(-1, 7, (60, 2))])
+    return [(ring, np.array([3.0, 2.0]), probes),
+            (rng.uniform(0, 1, (40, 3)), np.full(3, 0.5), rng.uniform(-0.2, 1.2, (80, 3)))]
+
+
+class TestCenterClosestOracle:
+    @pytest.mark.parametrize("rule", ["all", "any"])
+    @pytest.mark.parametrize("tol", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [1, 3, 5, 100])
+    def test_single_boundary(self, rule, tol, m):
+        for boundary, center, probes in center_closest_cases():
+            got = center_closest(probes, boundary, center, m, rule, tol)
+            want = [oracles.center_closest(p, boundary, center, m, rule, tol)
+                    for p in probes]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("rule", ["all", "any"])
+    def test_point_in_boundary(self, rule):
+        boundary, center, probes = center_closest_cases()[0]
+        b = Boundary(boundary, center, 1.0)
+        for p in probes:
+            assert point_in_boundary(b, p, 4, rule) == \
+                oracles.center_closest(p, boundary, center, 4, rule)
+
+    @pytest.mark.parametrize("rule", ["all", "any"])
+    def test_padded_boundaries(self, rule):
+        # boundaries of different lengths share one NaN-padded array
+        rng = np.random.default_rng(13)
+        bs = [Boundary(rng.uniform(x0, x0 + 1, (n, 2)), [x0 + 0.5, 0.5], 0.1)
+              for x0, n in ((0.0, 30), (0.8, 4), (1.6, 55), (2.4, 12))]
+        checker = PibcChecker(bs, n_candidates=2, m=6, rule=rule)
+        probes = rng.uniform([-0.2, -0.2], [3.6, 1.2], (300, 2))
+        want = []
+        for p in probes:
+            near = np.argsort(np.linalg.norm(checker.centers - p, axis=1), kind="stable")
+            want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, 6, rule)
+                            for j in near[:2]))
+        assert checker.points_inside(probes).tolist() == want
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            center_closest(np.zeros((1, 2)), np.ones((3, 2)), np.zeros(2), 0)
+        with pytest.raises(ValueError):
+            center_closest(np.zeros((1, 2)), np.ones((3, 2)), np.zeros(2), 1, rule="most")
+        with pytest.raises(EmptyBoundary):
+            center_closest(np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(2), 1)

@@ -189,3 +189,34 @@ class TestSolve:
         assert run("solve", "--input", str(path), "--vs", "a", "--vt", "c") == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["walk"] == ["a", "b", "c"]
+
+
+BAD_CONFIGS = [
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"foot": {"width": "a"}}, "foot.width must be a finite number"),
+    ({"foot": {"n_anchors": 0}}, "n_anchors"),
+    ({"cloud": {"voxel_leaf": "0.1"}}, "cloud.voxel_leaf"),
+    ({"cloud": {"passthrough": {"axis": "z", "lo": "a", "hi": 1}}}, "lo and hi"),
+    ({"boundary": {"alpha_s": float("nan")}}, "boundary.alpha_s"),
+    ({"transform": {"translation": [0, 0]}}, "transform.translation must be a list"),
+    ({"transform": {"rotation": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "orthonormal"),
+    ({"planner": {"max_iters": 1.5}}, "planner.max_iters must be an integer"),
+    ({"planner": {"rule": 3}}, "planner.rule must be a string"),
+    ({"planner": {"m_neighbors": 0}}, "m_neighbors"),
+    ({"route": {"v_t": "3"}}, "route.v_t must be an integer"),
+]
+
+
+@pytest.mark.parametrize("command", ["switching", "navigate"])
+@pytest.mark.parametrize("config,message", BAD_CONFIGS)
+def test_bad_config_value_is_one_error_line(command, config, message, tmp_path, capsys):
+    cloud = TestSwitching().write_plane(tmp_path, z=0.0, n=500)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(command, "--input", str(cloud), "--config", str(cfg),
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()

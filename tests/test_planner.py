@@ -9,7 +9,6 @@ from steelnav import (
     Multigraph,
     RrtParams,
     ncbe,
-    pibc_check,
     rrt_plan,
     vocpp,
 )
@@ -81,13 +80,13 @@ class TestPibc:
     def test_center_config_valid(self):
         b, _ = corridor_boundary()
         fp = Footprint(width=0.04, length=0.05)
-        assert pibc_check([b], Config(0, 0, 0), fp, rule="any")
+        assert PibcChecker([b], rule="any").check(Config(0, 0, 0), fp)
 
     def test_outside_config_invalid(self):
         b, _ = corridor_boundary()
         fp = Footprint(width=0.04, length=0.05)
         for rule in ("all", "any"):
-            assert not pibc_check([b], Config(0.0, 0.5, 0.0), fp, rule=rule)
+            assert not PibcChecker([b], rule=rule).check(Config(0.0, 0.5, 0.0), fp)
 
     def test_all_rule_subset_of_any(self):
         b, _ = corridor_boundary()
