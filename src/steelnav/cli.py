@@ -23,7 +23,7 @@ from . import segmentation as seg
 from . import svgplot
 from . import switching as sw
 from . import synth
-from .errors import NoPlane, DegenerateCloud, SteelNavError
+from .errors import NoPlane, DegenerateCloud, ParseError, SteelNavError
 from .planner import Footprint, RrtParams, plan_route
 
 SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
@@ -57,7 +57,6 @@ def _alpha_for(points, cfg) -> float:
 # --- switching pipeline ----------------------------------------------------
 
 def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
-    out_dir.mkdir(parents=True, exist_ok=True)
     cloud = _preprocess(cl.load_cloud(input_path), cfg)
 
     plane = None
@@ -106,6 +105,7 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
         "boundary": bound.to_json() if bound is not None else None,
         "candidate_rectangles": [c.to_json() for c in candidates],
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "switching.json", payload)
     _render_switching_svg(out_dir / "switching.svg", payload)
     return decision
@@ -139,7 +139,6 @@ def _render_switching_svg(path: Path, payload: dict):
 
 def run_navigation(input_path, cfg, out_dir: Path) -> int:
     """Full pipeline; returns the process exit code (0 full, 2 partial)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     cloud = _preprocess(cl.load_cloud(input_path), cfg)
     cloud = cl.transform_cloud(cloud, _transform(cfg))
     flat = cl.project_to_2d(cloud)
@@ -180,7 +179,8 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     boundaries = [b for b in cs.boundaries if len(b) > 0]
     result = plan_route(route, g, boundaries, fp, params, seed=cfg["seed"])
 
-    # stage artifacts
+    # stage artifacts, written only once every stage has succeeded
+    out_dir.mkdir(parents=True, exist_ok=True)
     cloud_json = {"points": [[float(v) for v in pt] for pt in flat.points],
                   "frame": flat.frame.value}
     _write_json(out_dir / "cloud.json", cloud_json)
@@ -267,13 +267,18 @@ def load_edge_list(path) -> rt.Multigraph:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise SteelNavError(f"line {lineno}: expected 'u v w'")
+            raise ParseError("expected 'u v w'", line=lineno)
         u, v = parts[0], parts[1]
         try:
             u, v = int(u), int(v)
         except ValueError:
             pass
-        w = float(parts[2])
+        try:
+            w = float(parts[2])
+            # the one-edge build runs Multigraph's edge checks on this line
+            rt.Multigraph.build((u, v), [(u, v, w)])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
         for x in (u, v):
             if x not in seen:
                 seen.add(x)

@@ -171,6 +171,8 @@ def _load_ply(lines):
                 raise ParseError("only ascii PLY is supported", line=lineno)
         elif line.startswith("element"):
             parts = line.split()
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise ParseError("expected 'element <name> <count>'", line=lineno)
             in_vertex = parts[1] == "vertex"
             if in_vertex:
                 n_vertex = int(parts[2])

@@ -1,13 +1,14 @@
 """Variant open Chinese Postman solver.
 
-The graph is augmented with duplicated shortest-path edges until an
-Euler trail from v_s to v_t exists, then the trail is extracted with
+The graph is augmented with a minimum T-join, T = odd(G) xor {v_s, v_t}:
+shortest paths between the vertices of T, paired by a minimum-weight
+perfect matching, are duplicated so that an Euler trail from v_s to v_t
+exists (Edmonds & Johnson 1973).  The trail is then extracted with
 Hierholzer's method.  A subset-enumeration oracle gives the exact
 optimum on small instances.
 """
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ class Multigraph:
                 raise UnknownVertex(f"edge ({u}, {v}) references unknown vertex")
             if u == v:
                 raise ValueError("self-loops are not allowed")
+            if not np.isfinite(w):
+                raise ValueError("edge weights must be finite")
             if w < 0:
                 raise ValueError("edge weights must be non-negative")
             norm.append((u, v, float(w)))
@@ -77,19 +80,11 @@ def _as_multigraph(g) -> Multigraph:
     return Multigraph.from_structure_graph(g)
 
 
-class AugmentCase(enum.Enum):
-    EULERIAN = "EulerianCase"
-    BOTH_ODD = "BothOdd"
-    TARGET_ODD = "TargetOdd"
-    SOURCE_ODD = "SourceOdd"
-    BOTH_EVEN = "BothEven"
-
-
 @dataclass(frozen=True)
 class AugmentedGraph:
     base: Multigraph
     duplicated: tuple  # of (u, v, w, base_edge_idx)
-    provenance: AugmentCase
+    provenance: str  # "TJoin", "TJoinGreedy" or "BruteForce"
 
     def combined_edges(self):
         """Base edges then duplicates, each tagged with its base edge index."""
@@ -271,14 +266,15 @@ def _check_connected(mg: Multigraph, endpoints):
 
 
 def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
-    """Duplicate shortest-path edges until odd degrees sit exactly at {v_s, v_t}.
+    """Duplicate a minimum T-join so odd degrees sit exactly at {v_s, v_t}.
 
-    Case analysis on the odd-vertex set: an Eulerian input gets the
-    shortest v_s-v_t path duplicated; an even endpoint is first tied to
-    its nearest odd vertex (or, with both endpoints even, to the pair of
-    odd vertices with minimal joint distance); the remaining odd
-    vertices are fixed by an exact minimum-weight pairing over
-    shortest-path distances.
+    T is odd(G) xor {v_s, v_t} (odd(G) alone for a circuit, v_s == v_t).
+    Every vertex of T is paired with another by a minimum-weight perfect
+    matching over shortest-path distances, and each pair's shortest path
+    is duplicated; that union is a minimum T-join (Edmonds & Johnson
+    1973), so the covering walk is optimal.  The pairing is exact up to
+    _MATCHING_DP_LIMIT vertices of T (provenance "TJoin"); above that it
+    is greedy with 2-opt swaps (provenance "TJoinGreedy").
     """
     mg = _as_multigraph(g)
     vset = set(mg.vertices)
@@ -288,68 +284,15 @@ def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
         raise EmptyGraph("graph has no edges")
     _check_connected(mg, (v_s, v_t))
 
-    s_ov = odd_vertices(mg)
-    sp = {}  # per-source (dist, pred) cache
+    t = odd_vertices(mg) ^ ({v_s, v_t} if v_s != v_t else set())
+    sp = {a: dijkstra(mg, a) for a in t}
+    metric = {(a, b): sp[a][0][b] for a in t for b in t if a != b}
+    pairs, _ = min_weight_pairing(t, metric)
+    duplicated = tuple((*mg.edges[i], i) for a, b in pairs
+                       for i in _path_edges(sp[a][1], a, b, mg))
+    provenance = "TJoin" if len(t) <= _MATCHING_DP_LIMIT else "TJoinGreedy"
 
-    def shortest(src):
-        if src not in sp:
-            sp[src] = dijkstra(mg, src)
-        return sp[src]
-
-    def dup_path(src, dst):
-        dist, pred = shortest(src)
-        return [(mg.edges[i][0], mg.edges[i][1], mg.edges[i][2], i)
-                for i in _path_edges(pred, src, dst, mg)]
-
-    duplicated = []
-    if not s_ov:
-        case = AugmentCase.EULERIAN
-        if v_s != v_t:
-            duplicated.extend(dup_path(v_s, v_t))
-        s_mov = set()
-    elif v_s == v_t:
-        # circuit extension: every odd vertex is fixed by the pairing
-        case = AugmentCase.BOTH_EVEN
-        s_mov = set(s_ov)
-    elif v_s in s_ov and v_t in s_ov:
-        case = AugmentCase.BOTH_ODD
-        s_mov = s_ov - {v_s, v_t}
-    elif v_s not in s_ov and v_t in s_ov:
-        case = AugmentCase.TARGET_ODD
-        dist, _ = shortest(v_s)
-        v_c = min((c for c in s_ov if c != v_t), key=lambda c: (dist[c], c))
-        duplicated.extend(dup_path(v_s, v_c))
-        s_mov = s_ov - {v_t, v_c}
-    elif v_s in s_ov and v_t not in s_ov:
-        case = AugmentCase.SOURCE_ODD
-        dist, _ = shortest(v_t)
-        v_c = min((c for c in s_ov if c != v_s), key=lambda c: (dist[c], c))
-        duplicated.extend(dup_path(v_t, v_c))
-        s_mov = s_ov - {v_s, v_c}
-    else:
-        case = AugmentCase.BOTH_EVEN
-        dist_s, _ = shortest(v_s)
-        dist_t, _ = shortest(v_t)
-        c1, c2 = min(
-            ((a, b) for a in s_ov for b in s_ov if a != b),
-            key=lambda p: (dist_s[p[0]] + dist_t[p[1]], p),
-        )
-        duplicated.extend(dup_path(v_s, c1))
-        duplicated.extend(dup_path(v_t, c2))
-        s_mov = s_ov - {c1, c2}
-
-    if s_mov:
-        metric = {}
-        for a in s_mov:
-            dist, _ = shortest(a)
-            for b in s_mov:
-                if a != b:
-                    metric[(a, b)] = dist[b]
-        pairs, _ = min_weight_pairing(s_mov, metric)
-        for a, b in pairs:
-            duplicated.extend(dup_path(a, b))
-
-    ag = AugmentedGraph(mg, tuple(duplicated), case)
+    ag = AugmentedGraph(mg, duplicated, provenance)
     expected = set() if v_s == v_t else {v_s, v_t}
     if ag.odd_set() != expected:
         raise ParityViolation(
@@ -404,7 +347,7 @@ def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     for _, _, _, base_idx in combined:
         visits[base_idx] += 1
     total = float(sum(w for _, _, w, _ in combined))
-    return RoutePlan(tuple(walk), tuple(visits), total, ag.provenance.value)
+    return RoutePlan(tuple(walk), tuple(visits), total, ag.provenance)
 
 
 def vocpp(g, v_s, v_t) -> RoutePlan:
@@ -454,6 +397,4 @@ def brute_force_ocpp(g, v_s, v_t) -> RoutePlan:
         (mg.edges[i][0], mg.edges[i][1], mg.edges[i][2], i)
         for i in range(m) if best_mask & (1 << i)
     )
-    ag = AugmentedGraph(mg, duplicated, AugmentCase.EULERIAN)
-    plan = euler_trail(ag, v_s, v_t)
-    return RoutePlan(plan.walk, plan.edge_visits, plan.total_length, "BruteForce")
+    return euler_trail(AugmentedGraph(mg, duplicated, "BruteForce"), v_s, v_t)

@@ -191,6 +191,47 @@ class TestSolve:
         assert printed["walk"] == ["a", "b", "c"]
 
 
+BAD_EDGE_LISTS = [
+    ("0 1 abc\n", "line 1: could not convert"),
+    ("0 1 1.0\n1 2 -1\n", "line 2: edge weights must be non-negative"),
+    ("0 1 1.0\n0 0 1\n", "line 2: self-loops"),
+    ("0 1 nan\n", "line 1: edge weights must be finite"),
+    ("0 1 inf\n", "line 1: edge weights must be finite"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_EDGE_LISTS)
+def test_bad_edge_list_is_one_error_line(text, message, tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    out = tmp_path / "route.json"
+    assert run("solve", "--input", str(path), "--vs", "0", "--vt", "1",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
+PLY_HEADER = "ply\nformat ascii 1.0\n{}\nproperty float x\nend_header\n"
+
+
+@pytest.mark.parametrize("command", ["switching", "navigate"])
+@pytest.mark.parametrize("name,text,message", [
+    ("bad.ply", PLY_HEADER.format("element vertex zz"), "line 3: expected 'element"),
+    ("bad.ply", PLY_HEADER.format("element vertex"), "line 3: expected 'element"),
+    ("missing.csv", None, "missing.csv"),
+])
+def test_bad_input_is_one_error_line(command, name, text, message, tmp_path, capsys):
+    cloud = tmp_path / name
+    if text is not None:
+        cloud.write_text(text)
+    out = tmp_path / "out"
+    assert run(command, "--input", str(cloud), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
 BAD_CONFIGS = [
     ({"seed": "x"}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),

@@ -124,21 +124,19 @@ class TestMinWeightPairing:
 class TestAugmentation:
     def test_eulerian_case(self):
         ag = augment_for_open_trail(TRIANGLE, "A", "B")
-        assert ag.provenance.value == "EulerianCase"
+        assert ag.provenance == "TJoin"
         # the shortest A-B path (the direct edge) is duplicated
         assert [d[:3] for d in ag.duplicated] == [("A", "B", 1.0)]
 
     def test_both_odd_no_duplicates(self):
         ag = augment_for_open_trail(PATH, "A", "C")
-        assert ag.provenance.value == "BothOdd"
         assert ag.duplicated == ()
 
     def test_target_odd(self):
         # PATH degrees: A=1 (odd), B=2 (even), C=1 (odd)
         ag = augment_for_open_trail(PATH, "B", "C")
-        assert ag.provenance.value == "TargetOdd"
         assert ag.odd_set() == {"B", "C"}
-        # the even source is tied to its nearest odd vertex A
+        # T = {A, C} xor {B, C} = {A, B}: the A-B path is duplicated
         assert [d[:3] for d in ag.duplicated] == [("A", "B", 1.0)]
 
     def test_source_odd(self):
@@ -146,7 +144,6 @@ class TestAugmentation:
                                       ("C", "D", 1.0), ("B", "D", 1.0)])
         # degrees: A=1 (odd), B=3 (odd), C=2, D=2; source odd, target even
         ag = augment_for_open_trail(g, "A", "C")
-        assert ag.provenance.value == "SourceOdd"
         assert ag.odd_set() == {"A", "C"}
 
     def test_both_even(self):
@@ -155,13 +152,24 @@ class TestAugmentation:
                                         ("E", "A", 1.0), ("B", "D", 1.0)])
         # odd set {B, D}; endpoints A, C both even
         ag2 = augment_for_open_trail(g2, "A", "C")
-        assert ag2.provenance.value == "BothEven"
         assert ag2.odd_set() == {"A", "C"}
 
     def test_circuit_with_odd_set(self):
         ag = augment_for_open_trail(STAR, "O", "O")
-        assert ag.provenance.value == "BothEven"
         assert ag.odd_set() == set()
+
+    @pytest.mark.parametrize("n_leaves,provenance",
+                             [(18, "TJoin"), (20, "TJoinGreedy")])
+    def test_pairing_limit_provenance(self, n_leaves, provenance):
+        # every leaf of an even star is odd; with the endpoints on two
+        # leaves, T holds the other n_leaves - 2, and the exact pairing
+        # stops at 16 of them
+        leaves = [f"L{i:02d}" for i in range(n_leaves)]
+        g = Multigraph.build(["O"] + leaves, [("O", x, 1.0) for x in leaves])
+        ag = augment_for_open_trail(g, leaves[0], leaves[1])
+        assert ag.provenance == provenance
+        assert ag.odd_set() == {leaves[0], leaves[1]}
+        assert len(ag.duplicated) == n_leaves - 2
 
 
 class TestEulerTrail:
@@ -190,7 +198,7 @@ class TestVocpp:
     def test_triangle(self):
         plan = vocpp(TRIANGLE, "A", "B")
         assert plan.total_length == pytest.approx(5.0)
-        assert plan.provenance == "EulerianCase"
+        assert plan.provenance == "TJoin"
         check_route_plan(plan, list("ABC"), list(TRIANGLE.edges), "A", "B")
 
     def test_star(self):
