@@ -161,7 +161,8 @@ def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
-                   m: int, rule: str = "all", tol: float = 0.0) -> np.ndarray:
+                   m: int, rule: str = "all", tol: float = 0.0,
+                   center_dist: np.ndarray | None = None) -> np.ndarray:
     """Center-closest-points membership test, one verdict per point.
 
     A point r is inside when its center distance d_r beats the center
@@ -171,7 +172,9 @@ def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
     from r the lower index is nearer, as in a stable argsort.
 
     points (P, d); boundary (L, d) shared by all points, or (P, L, d) with
-    NaN rows as padding; center (d,) or (P, d).
+    NaN rows as padding; center (d,) or (P, d).  `center_dist`, shaped like
+    `boundary` without its last axis, holds the boundary points' center
+    distances when the caller has them already.
     """
     if rule not in ("all", "any"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -184,7 +187,7 @@ def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
     if q.shape[1] == 0:
         raise EmptyBoundary("boundary has no points")
     d_r = _dist(r, c)
-    d_q = _dist(q, c[:, None, :])
+    d_q = _dist(q, c[:, None, :]) if center_dist is None else center_dist
     d_rq = _dist(q, r[:, None, :])  # NaN on padding, which compares False
     # the m nearest by (distance, index): all within the m-th distance,
     # less the last of those tied with it when there are too many

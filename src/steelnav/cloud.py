@@ -214,7 +214,10 @@ def load_cloud(path, fmt: str | None = None) -> PointCloud:
         fmt = path.suffix.lstrip(".").lower()
     if fmt not in _LOADERS:
         raise ParseError(f"unsupported format {fmt!r}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     pts = _LOADERS[fmt](lines)
     return PointCloud(np.asarray(pts, dtype=float).reshape(-1, 3), Frame.CAMERA)
 

@@ -198,7 +198,9 @@ def load_config(path=None) -> dict:
     if path is None:
         return validate(copy.deepcopy(DEFAULTS))
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return validate(_merge(DEFAULTS, raw))

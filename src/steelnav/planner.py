@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, center_closest
+from .boundary import Boundary, _dist, center_closest
 from .errors import EmptyBoundaries, GoalInvalid, NoPathFound, StartInvalid
 from .route import RoutePlan
 
@@ -127,6 +127,7 @@ class PibcChecker:
         self._pts = np.full((len(boundaries), max(map(len, boundaries)), 2), np.nan)
         for j, b in enumerate(boundaries):
             self._pts[j, :len(b)] = b.points[:, :2]
+        self._center_dist = _dist(self._pts, self.centers[:, None, :])  # NaN on padding
         all_pts = np.vstack([b.points[:, :2] for b in boundaries])
         self.bbox_lo = all_pts.min(axis=0)
         self.bbox_hi = all_pts.max(axis=0)
@@ -137,9 +138,10 @@ class PibcChecker:
         d_centers = np.linalg.norm(points[:, None, :] - self.centers[None, :, :],
                                    axis=2)
         cand = np.argsort(d_centers, axis=1, kind="stable")[:, :self.n_candidates]
+        cand_flat = cand.ravel()
         ok = center_closest(np.repeat(points, cand.shape[1], axis=0),
-                            self._pts[cand.ravel()], self.centers[cand.ravel()],
-                            self.m, self.rule)
+                            self._pts[cand_flat], self.centers[cand_flat],
+                            self.m, self.rule, center_dist=self._center_dist[cand_flat])
         return ok.reshape(cand.shape).any(axis=1)
 
     def check(self, c: Config, fp: Footprint) -> bool:

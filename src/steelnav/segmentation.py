@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .boundary import Border, Boundary, are_neighbors, cluster_border, ncbe
 from .errors import SingularCovariance, TooFewPoints
@@ -83,24 +82,55 @@ def _kmeanspp_means(points, k, rng):
 
 
 def _log_gaussians(points, means, covariances):
-    """(N, k) log-densities via per-component Cholesky factors."""
-    n, k = len(points), len(means)
-    out = np.empty((n, k))
-    for j in range(k):
-        try:
-            chol = np.linalg.cholesky(covariances[j])
-        except np.linalg.LinAlgError:
-            raise SingularCovariance(f"component {j} covariance not SPD")
-        diff = points - means[j]
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol ** 2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, j] = -0.5 * (maha + logdet + 2.0 * np.log(2.0 * np.pi))
-    return out
+    """(N, k) log-densities, all components at once.
+
+    For a 2×2 covariance [[a, b], [b, c]] with det = ac - b², the
+    Mahalanobis form is (c·dx² - 2b·dx·dy + a·dy²) / det (Bishop 2006, §9.2).
+    The result is the transpose of a component-major (k, N) array, so
+    reductions over the k components run along contiguous memory.
+    """
+    a, b, c = covariances[:, 0, 0], covariances[:, 0, 1], covariances[:, 1, 1]
+    det = a * c - b * b
+    # an infinite or NaN entry makes det infinite or NaN too
+    bad = ~((a > 0) & (det > 0) & np.isfinite(det))
+    if bad.any():
+        raise SingularCovariance(f"component {int(np.argmax(bad))} covariance not SPD")
+    dx = points[:, 0] - means[:, :1]  # (k, N)
+    dy = points[:, 1] - means[:, 1:]
+    maha = (c[:, None] * dx * dx - 2.0 * b[:, None] * dx * dy
+            + a[:, None] * dy * dy) / det[:, None]
+    return (-0.5 * (maha + np.log(det)[:, None] + 2.0 * np.log(2.0 * np.pi))).T
+
+
+def _logsumexp_rows(a):
+    """Row-wise log(sum(exp(a))), by SciPy's formula: the m terms equal to
+    the row maximum are taken out, log1p(s / m) + log(m) + max."""
+    a_max = a.max(axis=1, keepdims=True)
+    rest = a != a_max
+    m = a.shape[1] - np.count_nonzero(rest, axis=1, keepdims=True)
+    shifted = np.subtract(a, a_max, out=np.full_like(a, -np.inf), where=rest)
+    s = np.exp(shifted).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+
+
+def _m_step(points, resp, floor):
+    """Weights, means and floored covariances from (N, k) responsibilities."""
+    resp = resp.T  # (k, N); contiguous for responsibilities of _log_gaussians
+    k, n = resp.shape
+    nk = resp.sum(axis=1)
+    nk_safe = np.maximum(nk, 1e-300)
+    means = (resp @ points) / nk_safe[:, None]
+    dx = points[:, 0] - means[:, :1]
+    dy = points[:, 1] - means[:, 1:]
+    rdx = resp * dx
+    covariances = np.empty((k, 2, 2))
+    covariances[:, 0, 0] = (rdx * dx).sum(axis=1) / nk_safe + floor
+    covariances[:, 0, 1] = covariances[:, 1, 0] = (rdx * dy).sum(axis=1) / nk_safe
+    covariances[:, 1, 1] = (resp * dy * dy).sum(axis=1) / nk_safe + floor
+    return nk / n, means, covariances
 
 
 def _em_once(points, k, rng, max_iter, rel_tol, floor):
-    n = len(points)
     means = _kmeanspp_means(points, k, rng)
     weights = np.full(k, 1.0 / k)
     iso = max(float(np.var(points, axis=0).mean()), floor)
@@ -110,19 +140,11 @@ def _em_once(points, k, rng, max_iter, rel_tol, floor):
     prev_ll = -np.inf
     for _ in range(max_iter):
         log_prob = _log_gaussians(points, means, covariances) + np.log(weights)
-        log_norm = logsumexp(log_prob, axis=1)
+        log_norm = _logsumexp_rows(log_prob)
         ll = float(log_norm.sum())
         history.append(ll)
-        resp = np.exp(log_prob - log_norm[:, None])
-
-        nk = resp.sum(axis=0)
-        nk_safe = np.maximum(nk, 1e-300)
-        weights = nk / n
-        means = (resp.T @ points) / nk_safe[:, None]
-        for j in range(k):
-            diff = points - means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / nk_safe[j]
-            covariances[j] = cov + floor * np.eye(2)
+        weights, means, covariances = _m_step(
+            points, np.exp(log_prob - log_norm[:, None]), floor)
 
         if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
             break

@@ -3,8 +3,9 @@
 Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
 point-in-polygon, rectangle-union containment, a from-scratch adjusted
 Rand index, an all-pairs farthest pair, per-window slicing boundary
-points and a per-point center-closest test.  None of these share code
-with the package under test.
+points, a per-point center-closest test, and per-component Cholesky
+Gaussian log-densities and EM M-steps.  None of these share code with
+the package under test.
 """
 import itertools
 import math
@@ -236,3 +237,30 @@ def ncbe_points(points, alpha_s):
                 a, b = farthest_pair(window)
                 out.update((tuple(window[a]), tuple(window[b])))
     return out
+
+
+def log_gaussians(points, means, covariances):
+    """(N, k) 2D Gaussian log-densities through per-component Cholesky factors
+    and a general triangular solve."""
+    out = np.empty((len(points), len(means)))
+    for j in range(len(means)):
+        chol = np.linalg.cholesky(covariances[j])
+        sol = np.linalg.solve(chol, (points - means[j]).T)
+        maha = np.sum(sol ** 2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, j] = -0.5 * (maha + logdet + 2.0 * np.log(2.0 * np.pi))
+    return out
+
+
+def m_step(points, resp, floor):
+    """EM weights, means and floored covariances, one component at a time."""
+    n, k = resp.shape
+    nk = resp.sum(axis=0)
+    nk_safe = np.maximum(nk, 1e-300)
+    means = (resp.T @ points) / nk_safe[:, None]
+    covariances = np.empty((k, 2, 2))
+    for j in range(k):
+        diff = points - means[j]
+        cov = (resp[:, j][:, None] * diff).T @ diff / nk_safe[j]
+        covariances[j] = cov + floor * np.eye(2)
+    return nk / n, means, covariances

@@ -197,13 +197,18 @@ BAD_EDGE_LISTS = [
     ("0 1 1.0\n0 0 1\n", "line 2: self-loops"),
     ("0 1 nan\n", "line 1: edge weights must be finite"),
     ("0 1 inf\n", "line 1: edge weights must be finite"),
+    (b"\xff\xfe", "edges.txt is not UTF-8 text"),
 ]
+
+
+def write_text_or_bytes(path, data):
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
 
 
 @pytest.mark.parametrize("text,message", BAD_EDGE_LISTS)
 def test_bad_edge_list_is_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "edges.txt"
-    path.write_text(text)
+    write_text_or_bytes(path, text)
     out = tmp_path / "route.json"
     assert run("solve", "--input", str(path), "--vs", "0", "--vt", "1",
                "--out", str(out)) == 1
@@ -220,11 +225,14 @@ PLY_HEADER = "ply\nformat ascii 1.0\n{}\nproperty float x\nend_header\n"
     ("bad.ply", PLY_HEADER.format("element vertex zz"), "line 3: expected 'element"),
     ("bad.ply", PLY_HEADER.format("element vertex"), "line 3: expected 'element"),
     ("missing.csv", None, "missing.csv"),
+    ("bin.csv", b"\xff\xfe", "bin.csv is not UTF-8 text"),
+    ("bin.ply", b"ply\nformat binary_little_endian 1.0\n\xff\x00\n",
+     "bin.ply is not UTF-8 text"),
 ])
 def test_bad_input_is_one_error_line(command, name, text, message, tmp_path, capsys):
     cloud = tmp_path / name
     if text is not None:
-        cloud.write_text(text)
+        write_text_or_bytes(cloud, text)
     out = tmp_path / "out"
     assert run(command, "--input", str(cloud), "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
@@ -246,6 +254,7 @@ BAD_CONFIGS = [
     ({"planner": {"rule": 3}}, "planner.rule must be a string"),
     ({"planner": {"m_neighbors": 0}}, "m_neighbors"),
     ({"route": {"v_t": "3"}}, "route.v_t must be an integer"),
+    (b'{"seed": 1\xff}', "cfg.json is not UTF-8 text"),
 ]
 
 
@@ -254,7 +263,7 @@ BAD_CONFIGS = [
 def test_bad_config_value_is_one_error_line(command, config, message, tmp_path, capsys):
     cloud = TestSwitching().write_plane(tmp_path, z=0.0, n=500)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    write_text_or_bytes(cfg, config if isinstance(config, bytes) else json.dumps(config))
     out = tmp_path / "out"
     assert run(command, "--input", str(cloud), "--config", str(cfg),
                "--out", str(out)) == 1

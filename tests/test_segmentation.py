@@ -1,15 +1,24 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from steelnav import Shape, StructureSpec, generate, ncbe, segment_structure
-from steelnav.errors import TooFewPoints
+from steelnav import segmentation
+from steelnav.errors import SingularCovariance, TooFewPoints
 from steelnav.segmentation import (
+    _log_gaussians,
+    _logsumexp_rows,
+    _m_step,
     assign_clusters,
     cluster_ratio,
     em_gmm_fit,
     neighbor_stats,
 )
 
+import oracles
 from oracles import adjusted_rand_index
 
 
@@ -64,6 +73,161 @@ class TestEmGmmFit:
             em_gmm_fit(np.zeros((2, 2)), k=3)
         with pytest.raises(ValueError):
             em_gmm_fit(np.zeros((5, 3)), k=1)
+
+
+def rotated_cov(l1, l2, theta):
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    cov = rot @ np.diag([l1, l2]) @ rot.T
+    return (cov + cov.T) / 2.0
+
+
+def exact_log_gaussian(p, mean, cov):
+    """Log-density in exact rational arithmetic on the float inputs,
+    rounded once at the end."""
+    a, b, c = (Fraction(float(v)) for v in (cov[0, 0], cov[0, 1], cov[1, 1]))
+    dx = Fraction(float(p[0])) - Fraction(float(mean[0]))
+    dy = Fraction(float(p[1])) - Fraction(float(mean[1]))
+    det = a * c - b * b
+    maha = (c * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
+    return -0.5 * (float(maha) + math.log(det) + 2.0 * math.log(2.0 * math.pi))
+
+
+class TestLogGaussians:
+    def probes(self, rng, means, covs, n=200):
+        """Points around each component, out to about four sigma."""
+        k = rng.integers(len(means), size=n)
+        z = rng.normal(0.0, 1.5, (n, 2))
+        return means[k] + np.einsum("nij,nj->ni", np.linalg.cholesky(covs[k]), z)
+
+    def test_matches_cholesky_oracle(self):
+        rng = np.random.default_rng(11)
+        covs = [rotated_cov(s, s / kappa, rng.uniform(0, np.pi))
+                for s, kappa in zip(10.0 ** rng.uniform(-5, 0, 12),
+                                    10.0 ** rng.uniform(0, 4, 12))]
+        # thin bars along the axes, condition number about 1e8
+        covs += [np.diag([1e-2, 1e-10]), np.diag([1e-10, 1e-2]),
+                 rotated_cov(1e-2, 1e-10, 1e-5)]
+        # strong correlation of both signs with |b| > a
+        covs += [np.array([[1e-4, s * 3e-3], [s * 3e-3, 1e-1]]) for s in (1, -1)]
+        covs += [rotated_cov(1e-2, 1e-5, t) for t in (1.2, -1.2, 1.9)]
+        covs = np.array(covs)
+        means = rng.normal(0.0, 1.0, (len(covs), 2))
+        pts = self.probes(rng, means, covs)
+        assert np.any(np.abs(covs[:, 0, 1]) > covs[:, 0, 0])
+        got = _log_gaussians(pts, means, covs)
+        np.testing.assert_allclose(got, oracles.log_gaussians(pts, means, covs),
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.8, 1.2, -1.2, 2.0])
+    def test_rotated_thin_bar_as_accurate_as_oracle(self, theta):
+        # At condition number 1e8 off the axes, ac - b^2 and the quadratic
+        # form cancel in any double-precision method; the Cholesky oracle
+        # is itself off by up to about 1e-8 here.  Measure both against
+        # exact arithmetic instead.
+        rng = np.random.default_rng(12)
+        cov = rotated_cov(1e-2, 1e-10, theta)
+        assert abs(cov[0, 1]) > cov[0, 0]
+        means = np.array([[0.3, -0.2]])
+        pts = self.probes(rng, means, cov[None], n=50)
+        exact = np.array([exact_log_gaussian(p, means[0], cov) for p in pts])
+        scale = np.abs(exact) + 1.0
+        got = _log_gaussians(pts, means, cov[None])[:, 0]
+        ref = oracles.log_gaussians(pts, means, cov[None])[:, 0]
+        got_err = np.abs(got - exact) / scale
+        ref_err = np.abs(ref - exact) / scale
+        assert got_err.max() <= max(2.0 * ref_err.max(), 1e-12)
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 0.0], [0.0, 1.0]],  # zero variance
+        [[1.0, 2.0], [2.0, 1.0]],  # negative determinant
+        [[-1.0, 0.0], [0.0, -1.0]],  # negative definite, positive determinant
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+    ])
+    def test_singular_names_first_bad_component(self, bad):
+        covs = np.array([np.eye(2), np.eye(2), bad, bad])
+        with pytest.raises(SingularCovariance, match="component 2 "):
+            _log_gaussians(np.zeros((3, 2)), np.zeros((4, 2)), covs)
+
+
+class TestLogsumexpRows:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(0.0, 30.0, (200, 6))
+        a[::7, 1] = a[::7, 4]  # ties at arbitrary values
+        a[::5, :3] = a[::5, :3].max(axis=1, keepdims=True) + 5.0  # tied maxima
+        a[::3, 2] = -np.inf
+        a[::4, [0, 5]] = -np.inf
+        a[1] = 0.0  # all tied
+        a[2, :5] = -np.inf  # one finite entry
+        a[4] = -np.inf  # all -inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = logsumexp(a, axis=1)
+        np.testing.assert_allclose(_logsumexp_rows(a), want, rtol=1e-15, atol=0)
+        assert _logsumexp_rows(a)[4] == -np.inf
+
+    def test_column_counts(self):
+        for k in (1, 2, 7):
+            a = np.random.default_rng(k).normal(size=(50, k))
+            np.testing.assert_allclose(_logsumexp_rows(a), logsumexp(a, axis=1),
+                                       rtol=1e-15)
+
+
+class TestMStep:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(14)
+        pts = rng.normal(0.0, 1.0, (300, 2)) * [1.0, 0.05]
+        for k in (1, 2, 6):
+            resp = rng.dirichlet(np.ones(k), size=len(pts))
+            if k > 1:
+                resp[:, -1] = 0.0  # an empty component
+            got = _m_step(pts, resp, 1e-9)
+            want = oracles.m_step(pts, resp, 1e-9)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(got[2], got[2].transpose(0, 2, 1))
+
+
+class TestEmRegression:
+    """Whole fits against the per-component Cholesky E-step, SciPy's
+    logsumexp and the per-component M-step."""
+
+    @staticmethod
+    def run(pts, monkeypatch, reference):
+        fits = []
+        em_once = segmentation._em_once
+
+        def recording(*args):
+            model = em_once(*args)
+            fits.append(model.ll_history)
+            return model
+
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(segmentation, "_log_gaussians", oracles.log_gaussians)
+                m.setattr(segmentation, "_logsumexp_rows",
+                          lambda a: logsumexp(a, axis=1))
+                m.setattr(segmentation, "_m_step", oracles.m_step)
+            m.setattr(segmentation, "_em_once", recording)
+            cs = segment_structure(pts, 2, 6, 0.06, 0.04, 0.02, seed=1)
+        return cs, fits
+
+    def test_cross_matches_reference(self, monkeypatch):
+        spec = StructureSpec(Shape.CROSS, density=4000, noise_sigma=0.004, seed=1)
+        pts = generate(spec)[0].points[:, :2]
+        got, got_fits = self.run(pts, monkeypatch, reference=False)
+        ref, ref_fits = self.run(pts, monkeypatch, reference=True)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        assert got.n_c == ref.n_c
+        assert [r.to_json() for r in got.ratio_table] == \
+            [r.to_json() for r in ref.ratio_table]
+        np.testing.assert_allclose(got.means, ref.means, rtol=0, atol=1e-13)
+        assert len(got_fits) == len(ref_fits) == 5 * 3
+        assert any(len(h) == 200 for h in ref_fits)  # fits that stop at max_iter
+        for g, r in zip(got_fits, ref_fits):
+            assert len(g) == len(r)
+            np.testing.assert_allclose(g, r, rtol=1e-9)
 
 
 class TestAssignClusters:
