@@ -7,14 +7,22 @@ the outer boundary of the point set without reconstructing a polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyBoundary, EmptyInput, InvalidAlpha
 
-_MAX_PAIR_BLOCK = 2048  # bounds memory of the per-window farthest-pair search
-_HULL_MIN_POINTS = 64  # measured: below ~60 points the plain scan beats Qhull
+_MAX_PAIR_ELEMS = 1 << 22  # bounds memory of the farthest-pair scan (block x n x d)
+_PRUNE_MIN_POINTS = 64  # measured: pruning first pays from about 50-70 points
+# axes and diagonals: the vectors of {-1, 0, 1}^d whose first nonzero is 1
+_DIRECTIONS = {d: np.array([v for v in product((-1, 0, 1), repeat=d) if v > (0,) * d],
+                           dtype=float)
+               for d in (2, 3)}
+# a fan of unit vectors pi/32 apart over a half-turn: with their negatives,
+# every direction of the plane is within pi/64 of one of them
+_FAN = np.array([[np.cos(t), np.sin(t)] for t in np.arange(32) * np.pi / 32])
+_FAN_COS = np.cos(np.pi / 64) - 1e-12  # less the vectors' rounding
 
 
 @dataclass(frozen=True)
@@ -55,13 +63,29 @@ class Border:
     midpoint: np.ndarray | None  # mean of border points, None when empty
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast squared Euclidean distance over the last axis, summed
+    coordinate by coordinate (the same sums as np.linalg.norm(a - b, axis=-1))."""
+    d = a[..., 0] - b[..., 0]
+    sq = d * d
+    for k in range(1, a.shape[-1]):
+        d = a[..., k] - b[..., k]
+        sq = sq + d * d
+    return sq
+
+
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast Euclidean distance over the last axis."""
+    return np.sqrt(_sq_dist(a, b))
+
+
 def _scan_farthest_pair(pts: np.ndarray) -> tuple[int, int]:
     """Blocked O(k^2) scan; the first maximum in row-major order wins."""
     n = len(pts)
+    rows = max(1, _MAX_PAIR_ELEMS // pts.size)
     best = (-1.0, 0, 0)
-    for i0 in range(0, n, _MAX_PAIR_BLOCK):
-        block = pts[i0:i0 + _MAX_PAIR_BLOCK]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    for i0 in range(0, n, rows):
+        d2 = _sq_dist(pts[i0:i0 + rows, None, :], pts[None, :, :])
         flat = int(np.argmax(d2))
         i, j = divmod(flat, n)
         val = float(d2[i, j])
@@ -73,24 +97,116 @@ def _scan_farthest_pair(pts: np.ndarray) -> tuple[int, int]:
 def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
     """Indices of the two points at maximum mutual distance.
 
-    Returns the lexicographically first (i, j) of the full scan.  A
-    farthest pair lies on the convex hull, so from _HULL_MIN_POINTS points
-    on only the hull vertices and Qhull's coplanar points are scanned.
-    Coordinates whose range is exactly 0 add exactly 0 to every distance
-    and are left out of the hull, so a flat 3D window gets a 2D hull.
+    Returns the lexicographically first (i, j) of the full scan.  From
+    _PRUNE_MIN_POINTS points on, the scan runs only over the points whose
+    reach, an upper bound on their squared distance to any other point,
+    attains `lower`, the largest squared distance among the extreme points
+    along the axes and diagonals (Akl & Toussaint 1978).  The first reach
+    is the distance to the bounding box's farthest corner, summed in the
+    scan's coordinate order; it is exact after rounding, because rounding
+    is monotone.  Where that leaves _PRUNE_MIN_POINTS or more points, as
+    on a round window, _fan_prune bounds those again.  Both points of every
+    maximum pair are kept, in their original order.
     """
-    if len(pts) >= _HULL_MIN_POINTS:
-        live = np.ptp(pts, axis=0) > 0
-        if np.count_nonzero(live) >= 2:
-            try:
-                hull = ConvexHull(pts[:, live], qhull_options="Qc")
-            except QhullError:
-                pass  # degenerate (e.g. collinear) input: fall back to the scan
-            else:
-                keep = np.union1d(hull.vertices, hull.coplanar[:, 0])
-                i, j = _scan_farthest_pair(pts[keep])
-                return int(keep[i]), int(keep[j])
-    return _scan_farthest_pair(pts)
+    keep = np.arange(len(pts))
+    if len(pts) >= _PRUNE_MIN_POINTS:
+        proj = pts @ _DIRECTIONS[pts.shape[1]].T
+        ext = pts[np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])]
+        lower = _sq_dist(ext[:, None, :], ext[None, :, :]).max()
+        far = np.maximum(pts - pts.min(axis=0), pts.max(axis=0) - pts)
+        keep = np.flatnonzero(_sq_dist(far, np.zeros(pts.shape[1])) >= lower)
+        if len(keep) >= _PRUNE_MIN_POINTS:
+            keep = keep[_fan_prune(pts[keep], lower)]
+    i, j = _scan_farthest_pair(pts[keep])
+    return int(keep[i]), int(keep[j])
+
+
+def _fan_prune(pts: np.ndarray, lower: float) -> np.ndarray:
+    """Indices of the points whose fan bound attains `lower`.
+
+    In the plane of the two widest axes, a point's distance to another is
+    at most its distance to the farthest support line of the set along the
+    64 directions of _FAN and its negatives, divided by _FAN_COS; along a
+    third axis, at most its distance to the farther face of the bounding
+    box.  The slack covers the projections' rounding (two products and a
+    sum each) and the final factor every other rounding, including that of
+    the scan's sums.  The extreme points along the fan may raise `lower`.
+    """
+    eps = np.finfo(float).eps
+    plane = np.sort(np.argsort(-np.ptp(pts, axis=0), kind="stable")[:2])
+    proj = _FAN @ pts[:, plane].T  # (directions, points)
+    lo, hi = proj.min(axis=1, keepdims=True), proj.max(axis=1, keepdims=True)
+    slack = 8 * eps * np.abs(pts[:, plane]).sum(axis=1).max()
+    reach = (np.maximum(proj - lo, hi - proj).max(axis=0) + slack) / _FAN_COS
+    bound = reach * reach
+    if pts.shape[1] == 3:
+        c = pts[:, 3 - plane.sum()]
+        far = np.maximum(c - c.min(), c.max() - c)
+        bound = bound + far * far
+    ext = np.zeros(len(pts), dtype=bool)
+    ext[proj.argmin(axis=1)] = ext[proj.argmax(axis=1)] = True
+    e = pts[ext]
+    lower = max(lower, _sq_dist(e[:, None, :], e[None, :, :]).max())
+    return np.flatnonzero(bound * (1 + 64 * eps) >= lower)
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """np.unique(a, axis=0): the distinct rows in lexicographic order."""
+    if len(a) == 0:
+        return a
+    s = a[np.lexsort(a.T[::-1])]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return s[first]
+
+
+def _nn_dist(pts: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest other point (0 for a duplicate).
+
+    Plane sweep along the widest axis x (Hinrichs, Nievergelt & Schorn
+    1988).  The points are sorted on (x, y, z), y the next widest axis, so
+    duplicates are neighbors; step k compares sorted points i and i + k
+    unless the pair's lower bound g reaches the best distance so far of
+    both.  g is the pair's x gap or, for two points of one x column,
+    their y gap capped at the column's smaller gap to an adjacent column.
+    A computed distance is never below g, because fl(sqrt(fl(t^2))) = |t|
+    for |t| above 1e-154 and rounding is monotone; and g never shrinks as
+    k grows with either point fixed.  So a pair left out can never lower
+    a best, nor can any later pair (i, i + k') whose pairs (i, i + k) and
+    (i + k' - k, i + k') were left out: the sweep keeps only the index
+    range that can still hold a needed pair and ends at a step without one.
+    """
+    n = len(pts)
+    axes = np.argsort(-np.ptp(pts, axis=0), kind="stable")
+    order = np.lexsort(pts[:, axes[::-1]].T)
+    p = pts[order]
+    x = p[:, axes[0]]
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    if len(starts) < n:  # x ties: bound pairs within a column by their y gap
+        y = p[:, axes[1]]
+        gaps = np.concatenate([[np.inf], np.diff(x[starts]), [np.inf]])
+        cap = np.repeat(np.minimum(gaps[:-1], gaps[1:]), np.diff(np.append(starts, n)))
+    best = np.full(n, np.inf)
+    a, b = 0, n  # step k needs only the pairs (i, i + k) with a <= i < b
+    for k in range(1, n):
+        b = min(b, n - k)
+        if a >= b:
+            break
+        g = x[a + k:b + k] - x[a:b]
+        if len(starts) < n:
+            g = np.where(g > 0, g, np.minimum(y[a + k:b + k] - y[a:b], cap[a:b]))
+        i = np.flatnonzero((g < best[a:b]) | (g < best[a + k:b + k]))
+        if len(i) == 0:
+            break
+        i += a
+        j = i + k
+        d = _dist(p.take(i, axis=0), p.take(j, axis=0))
+        best[i] = np.minimum(best[i], d)
+        best[j] = np.minimum(best[j], d)
+        a, b = max(int(i[0]) - 1, 0), int(i[-1]) + 1
+    out = np.empty(n)
+    out[order] = best
+    return out
 
 
 def default_alpha_s(points: np.ndarray) -> float:
@@ -98,9 +214,11 @@ def default_alpha_s(points: np.ndarray) -> float:
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise EmptyInput("need >= 2 points to derive alpha_s")
-    tree = cKDTree(pts)
-    d, _ = tree.query(pts, k=2)
-    return 2.0 * float(np.median(d[:, 1]))
+    # np.median's arithmetic through np.partition: np.median imports numpy.ma
+    half = len(pts) // 2
+    part = np.partition(_nn_dist(pts), (half - 1, half))
+    median = part[half] if len(pts) % 2 else (part[half - 1] + part[half]) / 2
+    return 2.0 * float(median)
 
 
 def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
@@ -145,19 +263,8 @@ def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
             i, j = _farthest_pair(window)
             out.append(window[i])
             out.append(window[j])
-    uniq = np.unique(np.asarray(out), axis=0)
+    uniq = _unique_rows(np.asarray(out))
     return Boundary(uniq, center, alpha_s)
-
-
-def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast Euclidean distance over the last axis, summed coordinate by
-    coordinate (the same sums as np.linalg.norm(a - b, axis=-1))."""
-    d = a[..., 0] - b[..., 0]
-    sq = d * d
-    for k in range(1, a.shape[-1]):
-        d = a[..., k] - b[..., k]
-        sq = sq + d * d
-    return np.sqrt(sq)
 
 
 def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
@@ -229,14 +336,11 @@ def cluster_border(a: Boundary, b: Boundary, eps_border: float,
         raise ValueError(f"eps_border must be > 0, got {eps_border}")
     pts = []
     if len(a) and len(b):
-        tree_b = cKDTree(b.points)
-        d_ab, _ = tree_b.query(a.points, k=1)
-        pts.append(a.points[d_ab <= eps_border])
-        tree_a = cKDTree(a.points)
-        d_ba, _ = tree_a.query(b.points, k=1)
-        pts.append(b.points[d_ba <= eps_border])
+        near = _dist(a.points[:, None, :], b.points[None, :, :]) <= eps_border
+        pts.append(a.points[near.any(axis=1)])
+        pts.append(b.points[near.any(axis=0)])
     if pts:
-        merged = np.unique(np.vstack(pts), axis=0)
+        merged = _unique_rows(np.vstack(pts))
     else:
         merged = np.zeros((0, a.points.shape[1] if len(a) else 2))
     if len(merged) >= 2:

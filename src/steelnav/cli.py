@@ -23,7 +23,8 @@ from . import segmentation as seg
 from . import svgplot
 from . import switching as sw
 from . import synth
-from .errors import NoPlane, DegenerateCloud, ParseError, SteelNavError
+from .errors import (
+    DegenerateCloud, DisconnectedEndpoints, NoPlane, ParseError, SteelNavError)
 from .planner import Footprint, RrtParams, plan_route
 
 SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
@@ -156,15 +157,16 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     if d_min is None:
         d_min = cfg["planner"]["footprint_length"]
     g = gr.build_graph(cs, d_min)
-    if g.component_count > 1:
-        print(f"warning: structure graph has {g.component_count} components",
-              file=sys.stderr)
 
     v_s = cfg["route"]["v_s"]
     v_t = cfg["route"]["v_t"]
     if v_t is None:
         v_t = max(g.vertex_ids())
-    route = rt.vocpp(g, v_s, v_t)
+    try:
+        route = rt.vocpp(g, v_s, v_t)
+    except DisconnectedEndpoints as exc:
+        raise DisconnectedEndpoints(
+            f"structure graph has {g.component_count} components: {exc}") from None
 
     fp = Footprint(cfg["planner"]["footprint_width"],
                    cfg["planner"]["footprint_length"])
@@ -180,6 +182,9 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     result = plan_route(route, g, boundaries, fp, params, seed=cfg["seed"])
 
     # stage artifacts, written only once every stage has succeeded
+    if g.component_count > 1:
+        print(f"warning: structure graph has {g.component_count} components",
+              file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud_json = {"points": [[float(v) for v in pt] for pt in flat.points],
                   "frame": flat.frame.value}

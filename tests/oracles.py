@@ -3,14 +3,16 @@
 Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
 point-in-polygon, rectangle-union containment, a from-scratch adjusted
 Rand index, an all-pairs farthest pair, per-window slicing boundary
-points, a per-point center-closest test, and per-component Cholesky
-Gaussian log-densities and EM M-steps.  None of these share code with
-the package under test.
+points, a per-point center-closest test, per-component Cholesky
+Gaussian log-densities and EM M-steps, and SciPy k-d tree nearest
+neighbors and cluster borders.  None of these share code with the
+package under test.
 """
 import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def bellman_ford(vertices, edges, src):
@@ -221,6 +223,25 @@ def center_closest(point, boundary, center, m, rule="all", tol=0.0):
         d_q = _dist(boundary[i], center)
         verdicts.append(d_r < d_q or (d_r > 0 and (d_r - d_q) / d_r < tol))
     return all(verdicts) if rule == "all" else any(verdicts)
+
+
+def nearest_neighbor_dist(points):
+    """Each point's distance to its nearest other point, from a k-d tree."""
+    return cKDTree(points).query(points, k=2)[0][:, 1]
+
+
+def cluster_border(a_points, b_points, eps_border):
+    """Merged border points, length and midpoint through k-d tree queries."""
+    d_ab = cKDTree(b_points).query(a_points, k=1)[0]
+    d_ba = cKDTree(a_points).query(b_points, k=1)[0]
+    merged = np.unique(np.vstack([a_points[d_ab <= eps_border],
+                                  b_points[d_ba <= eps_border]]), axis=0)
+    if len(merged) < 2:
+        length = 0.0
+    else:
+        i, j = farthest_pair(merged)
+        length = float(np.linalg.norm(merged[i] - merged[j]))
+    return merged, length, merged.mean(axis=0) if len(merged) else None
 
 
 def ncbe_points(points, alpha_s):

@@ -228,7 +228,7 @@ class TestAreNeighbors:
         assert not are_neighbors(border, l_b=0.001)
 
 
-CUTOFF = bd._HULL_MIN_POINTS
+CUTOFF = bd._PRUNE_MIN_POINTS
 
 
 def shuffled_lattice(rng, *axes):
@@ -266,16 +266,16 @@ class TestFarthestPairOracle:
 
     def test_collinear(self):
         t = np.random.default_rng(5).uniform(-1, 1, 150)
-        self.check(np.column_stack([0.5 + t, -1.0 + 2 * t]))  # tilted: Qhull rejects it
+        self.check(np.column_stack([0.5 + t, -1.0 + 2 * t]))  # tilted
         self.check(np.column_stack([t, np.zeros_like(t), np.ones_like(t)]))  # one live axis
         self.check(np.column_stack([np.round(t * 4), np.zeros_like(t)]))  # ties on a line
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("dim", [2, 3])
     def test_extreme_points_ulps_apart(self, dim, seed):
-        # Qhull keeps one of two corner points a few ulps apart as a vertex
-        # and the other as coplanar; which one is farther from the far end
-        # depends on the far end's direction.
+        # two corner points a few ulps apart: which one is farther from the
+        # far end depends on the far end's direction, and the prune must
+        # keep both
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 1, (100, dim))
         ia, ib, ip = rng.choice(100, 3, replace=False)
@@ -287,6 +287,13 @@ class TestFarthestPairOracle:
         pts[ip] = 2.0 + 10 * d / np.linalg.norm(d)
         self.check(pts)
 
+    @pytest.mark.parametrize("offset, radius", [(1e8, 1e-6), (1e8, 3e-7), (-3e9, 1e-5)])
+    def test_round_window_far_from_the_origin(self, offset, radius):
+        # the projections' rounding is then of the order of the window itself
+        rng = np.random.default_rng(4)
+        r, t = np.sqrt(rng.uniform(0, 1, 300)), rng.uniform(0, 2 * np.pi, 300)
+        self.check(offset + radius * np.column_stack([r * np.cos(t), r * np.sin(t)]))
+
     def test_large_windows_scan_only_the_hull(self, monkeypatch):
         scanned = []
         scan = bd._scan_farthest_pair
@@ -294,7 +301,11 @@ class TestFarthestPairOracle:
                             lambda pts: scanned.append(len(pts)) or scan(pts))
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(0, 1, (2000, 2)), np.zeros(2000)])
-        for pts in (rng.uniform(0, 1, (2000, 2)), rng.uniform(0, 1, (2000, 3)), flat):
+        r, t = np.sqrt(rng.uniform(0, 1, 1000)), rng.uniform(0, 2 * np.pi, 1000)
+        disk = np.column_stack([r * np.cos(t), r * np.sin(t)])  # the box keeps most of it
+        diamond = rng.uniform(-1, 1, (1000, 2)) @ [[1.0, 1.0], [-1.0, 1.0]]
+        for pts in (rng.uniform(0, 1, (2000, 2)), rng.uniform(0, 1, (2000, 3)), flat,
+                    disk, diamond):
             scanned.clear()
             self.check(pts)
             assert len(scanned) == 1 and scanned[0] < 300
@@ -310,6 +321,93 @@ class TestNcbeWindowsOracle:
         for p, alpha in ((pts, 1.0), (pts, 0.5), (noisy, 0.3)):
             got = {tuple(q) for q in ncbe(p, alpha).points}
             assert got == oracles.ncbe_points(p, alpha)
+
+
+def nearest_neighbor_cases():
+    rng = np.random.default_rng(21)
+    t = rng.uniform(-1, 1, 200)
+    ties = np.column_stack([rng.choice([0.0, 10.0], 300), rng.uniform(0, 5, 300)])
+    yield from (rng.normal(size=(n, dim)) * scale  # odd and even n
+                for n in (3, 50, 501) for dim in (2, 3) for scale in (1e-3, 1.0, 1e4))
+    yield rng.uniform(0, [1.0, 0.01, 1.0], (400, 3))  # a thin slab
+    for seed in range(3):  # duplicates are at distance 0
+        yield shuffled_lattice(rng, np.arange(15), np.arange(11))
+        yield shuffled_lattice(rng, np.arange(6), np.arange(5), np.arange(4)) * 0.1
+    yield np.column_stack([0.5 + t, -1.0 + 2 * t])  # collinear, tilted
+    yield np.column_stack([t, np.zeros_like(t), np.ones_like(t)])  # on an axis
+    yield np.column_stack([np.round(t * 8) / 8, np.zeros_like(t)])  # on an axis, tied
+    yield np.array([[0.0, 0.0], [3.0, 4.0]])
+    yield np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    yield ties  # the sweep axis holds only two values
+    yield ties[:, ::-1].copy()
+
+
+NEAREST_NEIGHBOR_CASES = list(nearest_neighbor_cases())
+
+
+class TestNearestNeighborOracle:
+    @pytest.mark.parametrize("case", range(len(NEAREST_NEIGHBOR_CASES)))
+    def test_matches_kd_tree(self, case):
+        pts = NEAREST_NEIGHBOR_CASES[case]
+        want = oracles.nearest_neighbor_dist(pts)
+        assert np.array_equal(bd._nn_dist(pts), want)
+        assert default_alpha_s(pts) == 2.0 * float(np.median(want))
+
+    def test_ties_and_duplicates_take_few_steps(self, monkeypatch):
+        # each sweep step computes its pairs' distances in one _dist call
+        steps = []
+        dist = bd._dist
+        monkeypatch.setattr(bd, "_dist", lambda a, b: steps.append(len(a)) or dist(a, b))
+        rng = np.random.default_rng(8)
+        two_columns = np.column_stack([rng.choice([0.0, 10.0], 2000),
+                                       rng.uniform(0, 5, 2000)])
+        repeated = rng.uniform(0, 1, (400, 2))[rng.permutation(np.arange(2000) % 400)]
+        lattice = shuffled_lattice(rng, np.arange(40), np.arange(40))
+        for pts in (two_columns, repeated, lattice, lattice[:, ::-1].copy()):
+            steps.clear()
+            assert np.array_equal(bd._nn_dist(pts), oracles.nearest_neighbor_dist(pts))
+            assert 1 <= len(steps) <= 2
+
+
+class TestUniqueRowsOracle:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_np_unique(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = [rng.integers(0, 3, (200, dim)).astype(float),
+                rng.normal(size=(50, dim))[rng.integers(0, 50, 120)],
+                rng.normal(size=(1, dim)), np.zeros((0, dim))]
+        for a in rows:
+            assert np.array_equal(bd._unique_rows(a), np.unique(a, axis=0))
+
+
+class TestClusterBorderOracle:
+    def check(self, a_pts, b_pts, eps):
+        got = cluster_border(Boundary(a_pts, a_pts.mean(axis=0), 1.0),
+                             Boundary(b_pts, b_pts.mean(axis=0), 1.0), eps)
+        merged, length, midpoint = oracles.cluster_border(a_pts, b_pts, eps)
+        assert np.array_equal(got.points, merged)
+        assert got.length == length
+        assert (got.midpoint is None) == (midpoint is None)
+        if midpoint is not None:
+            assert np.array_equal(got.midpoint, midpoint)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        a = rng.uniform(0, 1, (120, dim))
+        b = rng.uniform(0, 1, (90, dim)) + 0.9 * np.eye(dim)[0]
+        for eps in (0.01, 0.05, 0.2, 5.0):
+            self.check(a, b, eps)
+
+    def test_pairs_exactly_eps_apart(self):
+        y = np.arange(9) * 0.25
+        a = np.column_stack([np.zeros_like(y), y])
+        for b, eps in ((a + [0.5, 0.0], 0.5),  # one axis
+                       (a + [0.75, 1.0], 1.25),  # a 3-4-5 triangle
+                       (a[::2] + [0.25, 0.0], 0.25)):
+            for e in (eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)):
+                self.check(a, b, e)
+                self.check(b, a, e)
 
 
 def center_closest_cases():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steelnav
 from steelnav.cli import load_edge_list, main
 
 NAV_ARTIFACTS = [
@@ -270,3 +275,41 @@ def test_bad_config_value_is_one_error_line(command, config, message, tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()
+
+
+def test_disconnected_structure_is_one_error_line(tmp_path, capsys):
+    # two parallel bars 0.54 apart: two clusters that share no border
+    x, y = np.meshgrid(np.arange(51) * 0.02, np.arange(4) * 0.02)
+    bar = np.column_stack([x.ravel(), y.ravel()])
+    cloud = tmp_path / "two_bars.csv"
+    cloud.write_text("".join(f"{float(px)!r},{float(py)!r},0.0\n"
+                             for px, py in np.vstack([bar, bar + [0.0, 0.6]])))
+    out = tmp_path / "out"
+    assert run("navigate", "--input", str(cloud), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: structure graph has 2 components")
+    assert not out.exists()
+
+
+def test_pipeline_loads_no_scipy(tmp_path):
+    # SciPy is a test dependency only; the installed program must not need it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"planner": {"max_iters": 0}}))
+    code = f"""
+import sys
+from steelnav import cli
+tmp, cfg = {str(tmp_path)!r}, {str(cfg)!r}
+assert cli.main(["synth", "--shape", "i", "--density", "1000", "--out", tmp + "/i"]) == 0
+assert cli.main(["switching", "--input", tmp + "/i/cloud.csv", "--out", tmp + "/sw"]) == 0
+assert cli.main(["synth", "--shape", "cross", "--density", "2000", "--noise", "0.004",
+                 "--seed", "1", "--out", tmp + "/cross"]) == 0
+assert cli.main(["navigate", "--input", tmp + "/cross/cloud.csv", "--config", cfg,
+                 "--seed", "1", "--out", tmp + "/nav"]) in (0, 2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(steelnav.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
