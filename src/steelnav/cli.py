@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -178,8 +177,7 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
         goal_bias=p["goal_bias"], max_iters=p["max_iters"],
         n_candidates=p["n_candidates"], m_neighbors=p["m_neighbors"],
         rule=p["rule"])
-    boundaries = [b for b in cs.boundaries if len(b) > 0]
-    result = plan_route(route, g, boundaries, fp, params, seed=cfg["seed"])
+    result = plan_route(route, g, cs.boundaries, fp, params, seed=cfg["seed"])
 
     # stage artifacts, written only once every stage has succeeded
     if g.component_count > 1:

@@ -181,11 +181,18 @@ def validate(cfg: dict) -> dict:
     s = cfg["segmentation"]
     _require(s["n_cmin"] >= 2 and s["n_cmax"] >= s["n_cmin"],
              "need n_cmax >= n_cmin >= 2")
+    _require(s["max_iter"] >= 1, "segmentation.max_iter must be >= 1")
+    _require(s["restarts"] >= 1, "segmentation.restarts must be >= 1")
+    _require(s["rel_tol"] >= 0, "segmentation.rel_tol must be >= 0")
     g = cfg["graph"]
     _require(g["d_min"] is None or g["d_min"] >= 0, "d_min must be >= 0")
     p = cfg["planner"]
     _require(p["footprint_width"] > 0 and p["footprint_length"] > 0,
              "planner footprint dimensions must be positive")
+    _require(p["step"] is None or p["step"] > 0, "planner.step must be > 0")
+    _require(p["theta_step"] > 0, "planner.theta_step must be > 0")
+    _require(p["goal_tol"] is None or p["goal_tol"] >= 0, "planner.goal_tol must be >= 0")
+    _require(p["max_iters"] >= 0, "planner.max_iters must be >= 0")
     _require(0.0 <= p["goal_bias"] <= 1.0, "goal_bias must be in [0, 1]")
     _require(p["rule"] in ("all", "any"), "planner rule must be 'all' or 'any'")
     _require(p["n_candidates"] >= 1 and p["m_neighbors"] >= 1,

@@ -7,11 +7,12 @@ straight segments weighted by Euclidean length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCluster, EmptyBoundary
+from .route import connected_components
 from .segmentation import ClusterSet
 
 
@@ -49,9 +50,6 @@ class StructureGraph:
 
     def degree(self, vid: int) -> int:
         return sum((e.u == vid) + (e.v == vid) for e in self.edges)
-
-    def total_weight(self) -> float:
-        return float(sum(e.weight for e in self.edges))
 
     def to_json(self):
         return {
@@ -103,22 +101,6 @@ def line_boundary_intersections(line: PrincipalLine, b) -> tuple[np.ndarray, np.
     pts = b.points[:, :2]
     t = (pts - line.point) @ line.direction
     return pts[int(np.argmin(t))], pts[int(np.argmax(t))]
-
-
-def _component_count(n_vertices, edges):
-    parent = list(range(n_vertices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in edges:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n_vertices)})
 
 
 def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
@@ -174,4 +156,5 @@ def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
             w = float(np.linalg.norm(vertices[center_id[i]].pos - end))
             edges.append(Edge(center_id[i], vid, w))
 
-    return StructureGraph(vertices, edges, _component_count(len(vertices), edges))
+    components = connected_components(range(len(vertices)), ((e.u, e.v) for e in edges))
+    return StructureGraph(vertices, edges, len(components))

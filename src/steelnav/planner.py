@@ -19,12 +19,10 @@ from .route import RoutePlan
 THETA_METRIC_WEIGHT = 0.3  # m/rad inside the nearest-neighbor metric
 
 
-def _wrap_angle(a: float) -> float:
-    """Normalize to (-pi, pi]."""
-    a = math.fmod(a + math.pi, 2.0 * math.pi)
-    if a <= 0:
-        a += 2.0 * math.pi
-    return a - math.pi
+def _wrap_angle(a):
+    """Normalize a scalar or an array of angles to (-pi, pi]."""
+    a = np.fmod(a + math.pi, 2.0 * math.pi)
+    return a + 2.0 * math.pi * (a <= 0) - math.pi
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class Config:
     def __post_init__(self):
         if not all(np.isfinite([self.x, self.y, self.theta])):
             raise ValueError("configuration must be finite")
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
 
     @property
     def xy(self) -> np.ndarray:
@@ -101,11 +99,17 @@ class EdgePlanFailure:
     reason: str
 
 
+def segment_footprints(states: np.ndarray, fp: Footprint) -> np.ndarray:
+    """(N, K, 2) template offsets rotated and translated per (x, y, theta) row."""
+    cos, sin = np.cos(states[:, 2]), np.sin(states[:, 2])
+    # contiguous per-row rotations: each row multiplies exactly as it would alone
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1).copy()
+    return fp.template @ rot.transpose(0, 2, 1) + states[:, None, :2]
+
+
 def footprint_points(c: Config, fp: Footprint) -> np.ndarray:
-    """Template offsets rotated by theta and translated to (x, y)."""
-    cos, sin = math.cos(c.theta), math.sin(c.theta)
-    rot = np.array([[cos, -sin], [sin, cos]])
-    return fp.template @ rot.T + c.xy
+    """(K, 2) footprint points of one configuration."""
+    return segment_footprints(np.array([[c.x, c.y, c.theta]]), fp)[0]
 
 
 class PibcChecker:
@@ -148,15 +152,14 @@ class PibcChecker:
         return bool(np.all(self.points_inside(footprint_points(c, fp))))
 
 
-def _interp_configs(a: Config, b: Config, spacing: float):
-    """Configs from a (exclusive) to b (inclusive) at <= spacing apart."""
-    dist = float(np.linalg.norm(b.xy - a.xy))
-    n = max(int(math.ceil(dist / spacing)), 1)
-    dtheta = _wrap_angle(b.theta - a.theta)
-    return [
-        Config(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t, a.theta + dtheta * t)
-        for t in (i / n for i in range(1, n + 1))
-    ]
+def _interp_segment(a: np.ndarray, b: np.ndarray, spacing: float) -> np.ndarray:
+    """States from a (exclusive) to b (inclusive) at <= spacing apart, as rows."""
+    n = max(int(math.ceil(float(np.linalg.norm(b[:2] - a[:2])) / spacing)), 1)
+    delta = b - a
+    delta[2] = _wrap_angle(delta[2])
+    seg = a + delta * (np.arange(1, n + 1)[:, None] / n)
+    seg[:, 2] = _wrap_angle(seg[:, 2])
+    return seg
 
 
 def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
@@ -167,7 +170,8 @@ def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
     Extensions are capped at `step` in position and `theta_step` in
     angle; every extension is collision-checked at interpolated configs
     spaced <= step/2.  Success when a tree node falls within `goal_tol`
-    of the goal position.  Deterministic per seed.
+    of the goal position.  Deterministic per seed.  The tree is one
+    (x, y, theta) state array plus parent indices.
     """
     if checker is None:
         checker = PibcChecker(boundaries, params.n_candidates, params.m_neighbors,
@@ -184,49 +188,46 @@ def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
     margin = max(fp.width, fp.length)
     lo = checker.bbox_lo - margin
     hi = checker.bbox_hi + margin
+    target = np.array([goal.x, goal.y, goal.theta])
 
-    nodes = [start]
     parents = [-1]
     states = np.empty((params.max_iters + 1, 3))
     states[0] = start.x, start.y, start.theta
 
-    def metric(sample):
-        s = states[:len(nodes)]
-        d_xy = np.hypot(s[:, 0] - sample[0], s[:, 1] - sample[1])
-        d_th = np.abs((s[:, 2] - sample[2] + math.pi) % (2 * math.pi) - math.pi)
-        return np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)
-
     for _ in range(params.max_iters):
         if rng.random() < params.goal_bias:
-            sample = np.array([goal.x, goal.y, goal.theta])
+            sample = target
         else:
             xy = rng.uniform(lo, hi)
             sample = np.array([xy[0], xy[1], rng.uniform(-math.pi, math.pi)])
 
-        ni = int(np.argmin(metric(sample)))
-        near = nodes[ni]
-        delta = sample[:2] - near.xy
+        tree = states[:len(parents)]
+        d_xy = np.hypot(tree[:, 0] - sample[0], tree[:, 1] - sample[1])
+        d_th = np.abs(_wrap_angle(tree[:, 2] - sample[2]))
+        ni = int(np.argmin(np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)))
+        near = states[ni]
+        delta = sample[:2] - near[:2]
         dist = float(np.linalg.norm(delta))
         if dist > params.step:
             delta = delta * (params.step / dist)
-        dtheta = _wrap_angle(sample[2] - near.theta)
+        dtheta = _wrap_angle(sample[2] - near[2])
         dtheta = max(-params.theta_step, min(params.theta_step, dtheta))
-        new = Config(near.x + delta[0], near.y + delta[1], near.theta + dtheta)
+        new = np.array([near[0] + delta[0], near[1] + delta[1],
+                        _wrap_angle(near[2] + dtheta)])
 
-        segment = _interp_configs(near, new, params.step / 2.0)
-        if not checker.points_inside(
-                np.vstack([footprint_points(c, fp) for c in segment])).all():
+        segment = _interp_segment(near, new, params.step / 2.0)
+        if not checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all():
             continue
 
-        states[len(nodes)] = new.x, new.y, new.theta
-        nodes.append(new)
+        states[len(parents)] = new
         parents.append(ni)
 
-        if np.linalg.norm(new.xy - goal.xy) <= params.goal_tol:
+        if np.linalg.norm(new[:2] - target[:2]) <= params.goal_tol:
             path = []
-            i = len(nodes) - 1
+            i = len(parents) - 1
             while i >= 0:
-                path.append(nodes[i])
+                # wrapping an already wrapped theta returns it unchanged
+                path.append(Config(*states[i]))
                 i = parents[i]
             path.reverse()
             return MotionPath(tuple(path), edge_ref=())
@@ -243,10 +244,7 @@ def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
     interior recovers a valid via configuration.
     """
     span = float(np.linalg.norm(toward - pos))
-    if span < 1e-12:
-        c = Config(pos[0], pos[1], theta)
-        return c if checker.check(c, fp) else None
-    direction = (toward - pos) / span
+    direction = (toward - pos) / max(span, 1e-12)  # a zero-length edge checks pos alone
     step = fp.length / 4.0
     offset = 0.0
     while offset <= max_frac * span:

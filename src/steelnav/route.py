@@ -1,6 +1,6 @@
 """Variant open Chinese Postman solver.
 
-The graph is augmented with a minimum T-join, T = odd(G) xor {v_s, v_t}:
+The graph is augmented with a minimum T-join, T = odd(G) xor {v_s} xor {v_t}:
 shortest paths between the vertices of T, paired by a minimum-weight
 perfect matching, are duplicated so that an Euler trail from v_s to v_t
 exists (Edmonds & Johnson 1973).  The trail is then extracted with
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,13 @@ class AugmentedGraph:
         out.extend(self.duplicated)
         return out
 
+    def multigraph(self) -> Multigraph:
+        """Base edges and duplicates as one multigraph."""
+        return Multigraph(self.base.vertices,
+                          tuple((u, v, w) for u, v, w, _ in self.combined_edges()))
+
     def odd_set(self):
-        deg = {v: 0 for v in self.base.vertices}
-        for u, v, _, _ in self.combined_edges():
-            deg[u] += 1
-            deg[v] += 1
-        return {v for v, d in deg.items() if d % 2 == 1}
+        return odd_vertices(self.multigraph())
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,14 @@ class RoutePlan:
     edge_visits: tuple  # per base edge, visit count >= 1
     total_length: float
     provenance: str = ""
-    optimality_gap: float | None = None
 
     def to_json(self):
-        d = {
+        return {
             "walk": list(self.walk),
             "edge_visits": list(self.edge_visits),
             "total_length": self.total_length,
             "provenance": self.provenance,
         }
-        if self.optimality_gap is not None:
-            d["optimality_gap"] = self.optimality_gap
-        return d
 
 
 def dijkstra(g, src):
@@ -152,7 +149,7 @@ def dijkstra(g, src):
     return dist, pred
 
 
-def _path_edges(pred, src, dst, mg):
+def _path_edges(pred, src, dst):
     """Base edge indices along the shortest path src -> dst."""
     out = []
     v = dst
@@ -244,31 +241,47 @@ def min_weight_pairing(odd, metric):
     return [(odd[i], odd[j]) for i, j in pairs_idx], float(total)
 
 
+def connected_components(vertices, pairs) -> list[set]:
+    """Vertex sets of the graph on `vertices` with undirected edges `pairs`."""
+    adj = {v: set() for v in vertices}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    components = []
+    for root in adj:
+        if not any(root in comp for comp in components):
+            comp, stack = {root}, [root]
+            while stack:
+                new = adj[stack.pop()] - comp
+                comp |= new
+                stack.extend(new)
+            components.append(comp)
+    return components
+
+
 def _check_connected(mg: Multigraph, endpoints):
     """All edge-bearing vertices plus the endpoints must share one component."""
-    deg = mg.degrees()
-    relevant = {v for v, dg in deg.items() if dg > 0} | set(endpoints)
-    if len(relevant) <= 1:
-        return
-    adj = mg.adjacency()
-    start = next(iter(sorted(relevant)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if not relevant <= seen:
+    relevant = {v for v, dg in mg.degrees().items() if dg > 0} | set(endpoints)
+    if not any(relevant <= comp for comp in
+               connected_components(mg.vertices, (e[:2] for e in mg.edges))):
         raise DisconnectedEndpoints(
             "endpoints and edge-bearing vertices are not in one component")
 
 
-def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
-    """Duplicate a minimum T-join so odd degrees sit exactly at {v_s, v_t}.
+def _check_trail_input(mg: Multigraph, v_s, v_t):
+    """Known endpoints, at least one edge, and one component to cover."""
+    vset = set(mg.vertices)
+    if v_s not in vset or v_t not in vset:
+        raise UnknownVertex(f"unknown endpoint {v_s!r} or {v_t!r}")
+    if not mg.edges:
+        raise EmptyGraph("graph has no edges")
+    _check_connected(mg, (v_s, v_t))
 
-    T is odd(G) xor {v_s, v_t} (odd(G) alone for a circuit, v_s == v_t).
+
+def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
+    """Duplicate a minimum T-join so odd degrees sit exactly at {v_s} ^ {v_t}.
+
+    T is odd(G) ^ {v_s} ^ {v_t} (odd(G) alone for a circuit, v_s == v_t).
     Every vertex of T is paired with another by a minimum-weight perfect
     matching over shortest-path distances, and each pair's shortest path
     is duplicated; that union is a minimum T-join (Edmonds & Johnson
@@ -277,23 +290,18 @@ def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
     is greedy with 2-opt swaps (provenance "TJoinGreedy").
     """
     mg = _as_multigraph(g)
-    vset = set(mg.vertices)
-    if v_s not in vset or v_t not in vset:
-        raise UnknownVertex(f"unknown endpoint {v_s!r} or {v_t!r}")
-    if not mg.edges:
-        raise EmptyGraph("graph has no edges")
-    _check_connected(mg, (v_s, v_t))
+    _check_trail_input(mg, v_s, v_t)
 
-    t = odd_vertices(mg) ^ ({v_s, v_t} if v_s != v_t else set())
+    t = odd_vertices(mg) ^ {v_s} ^ {v_t}
     sp = {a: dijkstra(mg, a) for a in t}
     metric = {(a, b): sp[a][0][b] for a in t for b in t if a != b}
     pairs, _ = min_weight_pairing(t, metric)
     duplicated = tuple((*mg.edges[i], i) for a, b in pairs
-                       for i in _path_edges(sp[a][1], a, b, mg))
+                       for i in _path_edges(sp[a][1], a, b))
     provenance = "TJoin" if len(t) <= _MATCHING_DP_LIMIT else "TJoinGreedy"
 
     ag = AugmentedGraph(mg, duplicated, provenance)
-    expected = set() if v_s == v_t else {v_s, v_t}
+    expected = {v_s} ^ {v_t}
     if ag.odd_set() != expected:
         raise ParityViolation(
             f"augmentation left odd set {ag.odd_set()} (expected {expected})")
@@ -308,11 +316,9 @@ def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     """
     mg = ag.base
     combined = ag.combined_edges()
-    expected = set() if v_s == v_t else {v_s, v_t}
-    if ag.odd_set() != expected:
+    if ag.odd_set() != {v_s} ^ {v_t}:
         raise ParityViolation("odd-degree set does not match the trail endpoints")
-    _check_connected(Multigraph(mg.vertices, tuple((u, v, w) for u, v, w, _ in combined)),
-                     (v_s, v_t))
+    _check_connected(ag.multigraph(), (v_s, v_t))
 
     adj = {v: [] for v in mg.vertices}
     for eid, (u, v, w, base_idx) in enumerate(combined):
@@ -360,35 +366,27 @@ def brute_force_ocpp(g, v_s, v_t) -> RoutePlan:
     """Exact open-CPP optimum by enumerating duplicated edge subsets.
 
     A minimum T-join never needs an edge twice, so the optimum is the
-    lightest D subseteq E whose addition leaves odd degrees exactly at
-    the trail endpoints.  Exponential in |E|; refuses more than 14 edges.
+    lightest D subseteq E whose own odd-degree set is T = odd(G) ^ {v_s}
+    ^ {v_t}: adding D then leaves odd degrees exactly at the trail
+    endpoints.  Exponential in |E|; refuses more than 14 edges.
     """
     mg = _as_multigraph(g)
     if len(mg.edges) > 14:
         raise TooLarge(f"{len(mg.edges)} edges exceeds the brute-force limit of 14")
-    vset = set(mg.vertices)
-    if v_s not in vset or v_t not in vset:
-        raise UnknownVertex(f"unknown endpoint {v_s!r} or {v_t!r}")
-    if not mg.edges:
-        raise EmptyGraph("graph has no edges")
-    _check_connected(mg, (v_s, v_t))
+    _check_trail_input(mg, v_s, v_t)
 
-    base_deg = mg.degrees()
-    expected = set() if v_s == v_t else {v_s, v_t}
+    t = odd_vertices(mg) ^ {v_s} ^ {v_t}
     m = len(mg.edges)
     best_mask, best_extra = None, float("inf")
     for mask in range(1 << m):
-        deg = dict(base_deg)
+        odd = set()
         extra = 0.0
         for i in range(m):
             if mask & (1 << i):
                 u, v, w = mg.edges[i]
-                deg[u] += 1
-                deg[v] += 1
+                odd ^= {u, v}
                 extra += w
-        if extra >= best_extra:
-            continue
-        if {x for x, dg in deg.items() if dg % 2 == 1} == expected:
+        if extra < best_extra and odd == t:
             best_mask, best_extra = mask, extra
     if best_mask is None:
         raise Disconnected("no feasible duplication subset")

@@ -48,13 +48,12 @@ class SvgCanvas:
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
                 f'fill="{fill}"/>')
 
-    def line(self, a, b, stroke="#000000", width=1.5, dash=None):
+    def line(self, a, b, stroke="#000000", width=1.5):
         x1, y1 = self._xy(a)
         x2, y2 = self._xy(b)
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+            f'stroke="{stroke}" stroke-width="{width}"/>')
 
     def arrow(self, a, b, stroke="#d62728", width=2.0):
         """Line with a small arrowhead at b, for route ordering."""

@@ -114,6 +114,16 @@ def _arm(angle: float, length: float, width: float, hub_half: float) -> BarRect:
     return BarRect(center, length, width, angle)
 
 
+# Arm angles of the shapes built from one hub square; the K is a vertical
+# stroke (two arms) plus three arms fanning out.
+_HUB_ARMS = {
+    Shape.CROSS: (0.0, math.pi, math.pi / 2, -math.pi / 2),
+    Shape.T: (0.0, math.pi, -math.pi / 2),
+    Shape.L: (0.0, math.pi / 2),
+    Shape.K: (math.pi / 2, -math.pi / 2, 0.0, math.pi / 4, -math.pi / 4),
+}
+
+
 def _build_shape(spec: StructureSpec):
     """Rectangles, junction labels, and the true graph for one shape."""
     length, w = spec.bar_length, spec.bar_width
@@ -123,34 +133,12 @@ def _build_shape(spec: StructureSpec):
     def square(at):
         return BarRect(np.asarray(at, dtype=float), w, w, 0.0)
 
-    def endpoint(angle, from_pt=origin):
-        return from_pt + _dir(angle) * (hub + length)
-
-    if spec.shape is Shape.CROSS:
-        angles = [0.0, math.pi, math.pi / 2, -math.pi / 2]
+    if spec.shape in _HUB_ARMS:
+        angles = _HUB_ARMS[spec.shape]
         rects = [_arm(a, length, w, hub) for a in angles] + [square(origin)]
-        cross = {4}
-        verts = [origin] + [endpoint(a) for a in angles]
-        edges = [(0, i) for i in range(1, 5)]
-    elif spec.shape is Shape.T:
-        angles = [0.0, math.pi, -math.pi / 2]
-        rects = [_arm(a, length, w, hub) for a in angles] + [square(origin)]
-        cross = {3}
-        verts = [origin] + [endpoint(a) for a in angles]
-        edges = [(0, i) for i in range(1, 4)]
-    elif spec.shape is Shape.L:
-        angles = [0.0, math.pi / 2]
-        rects = [_arm(a, length, w, hub) for a in angles] + [square(origin)]
-        cross = {2}
-        verts = [origin] + [endpoint(a) for a in angles]
-        edges = [(0, 1), (0, 2)]
-    elif spec.shape is Shape.K:
-        # vertical stroke (two arms) plus three arms fanning out
-        angles = [math.pi / 2, -math.pi / 2, 0.0, math.pi / 4, -math.pi / 4]
-        rects = [_arm(a, length, w, hub) for a in angles] + [square(origin)]
-        cross = {5}
-        verts = [origin] + [endpoint(a) for a in angles]
-        edges = [(0, i) for i in range(1, 6)]
+        cross = {len(angles)}
+        verts = [origin] + [origin + _dir(a) * (hub + length) for a in angles]
+        edges = [(0, i) for i in range(1, len(angles) + 1)]
     elif spec.shape is Shape.I:
         # two junction squares joined by one bar, each with stub flanges
         stub = length / 3.0

@@ -4,15 +4,20 @@ Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
 point-in-polygon, rectangle-union containment, a from-scratch adjusted
 Rand index, an all-pairs farthest pair, per-window slicing boundary
 points, a per-point center-closest test, per-component Cholesky
-Gaussian log-densities and EM M-steps, and SciPy k-d tree nearest
-neighbors and cluster borders.  None of these share code with the
-package under test.
+Gaussian log-densities and EM M-steps, SciPy k-d tree nearest
+neighbors and cluster borders, and an RRT planner that keeps one
+configuration object per tree node.  None of these share code with the
+package under test; the reference planner takes the package's
+containment checker as its validity test.
 """
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from steelnav.errors import GoalInvalid, NoPathFound, StartInvalid
 
 
 def bellman_ford(vertices, edges, src):
@@ -285,3 +290,112 @@ def m_step(points, resp, floor):
         cov = (resp[:, j][:, None] * diff).T @ diff / nk_safe[j]
         covariances[j] = cov + floor * np.eye(2)
     return nk / n, means, covariances
+
+
+def wrap_angle(a):
+    """Normalize one angle to (-pi, pi] with scalar math."""
+    a = math.fmod(a + math.pi, 2.0 * math.pi)
+    if a <= 0:
+        a += 2.0 * math.pi
+    return a - math.pi
+
+
+@dataclass(frozen=True)
+class Pose:
+    """Reference planner configuration, wrapped on construction."""
+
+    x: float
+    y: float
+    theta: float
+
+    def __post_init__(self):
+        if not all(np.isfinite([self.x, self.y, self.theta])):
+            raise ValueError("configuration must be finite")
+        object.__setattr__(self, "theta", wrap_angle(self.theta))
+
+    @property
+    def xy(self):
+        return np.array([self.x, self.y])
+
+
+def footprint_points(c, fp):
+    """Template offsets of `fp` rotated by c.theta and translated to (c.x, c.y)."""
+    cos, sin = math.cos(c.theta), math.sin(c.theta)
+    rot = np.array([[cos, -sin], [sin, cos]])
+    return fp.template @ rot.T + c.xy
+
+
+def interp_configs(a, b, spacing):
+    """Poses from a (exclusive) to b (inclusive) at <= spacing apart."""
+    dist = float(np.linalg.norm(b.xy - a.xy))
+    n = max(int(math.ceil(dist / spacing)), 1)
+    dtheta = wrap_angle(b.theta - a.theta)
+    return [
+        Pose(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t, a.theta + dtheta * t)
+        for t in (i / n for i in range(1, n + 1))
+    ]
+
+
+def rrt_plan(start, goal, fp, params, seed, checker):
+    """RRT over `checker`-valid poses with one Pose object per tree node.
+
+    Returns the path as a list of Poses; raises like the package planner.
+    """
+    if not checker.points_inside(footprint_points(start, fp)).all():
+        raise StartInvalid(f"start configuration {start} fails PIBC")
+    if not checker.points_inside(footprint_points(goal, fp)).all():
+        raise GoalInvalid(f"goal configuration {goal} fails PIBC")
+    if start == goal:
+        return [start]
+
+    rng = np.random.default_rng(seed)
+    margin = max(fp.width, fp.length)
+    lo = checker.bbox_lo - margin
+    hi = checker.bbox_hi + margin
+
+    nodes = [start]
+    parents = [-1]
+    states = np.empty((params.max_iters + 1, 3))
+    states[0] = start.x, start.y, start.theta
+
+    def metric(sample):
+        s = states[:len(nodes)]
+        d_xy = np.hypot(s[:, 0] - sample[0], s[:, 1] - sample[1])
+        d_th = np.abs((s[:, 2] - sample[2] + math.pi) % (2 * math.pi) - math.pi)
+        return np.hypot(d_xy, 0.3 * d_th)
+
+    for _ in range(params.max_iters):
+        if rng.random() < params.goal_bias:
+            sample = np.array([goal.x, goal.y, goal.theta])
+        else:
+            xy = rng.uniform(lo, hi)
+            sample = np.array([xy[0], xy[1], rng.uniform(-math.pi, math.pi)])
+
+        ni = int(np.argmin(metric(sample)))
+        near = nodes[ni]
+        delta = sample[:2] - near.xy
+        dist = float(np.linalg.norm(delta))
+        if dist > params.step:
+            delta = delta * (params.step / dist)
+        dtheta = wrap_angle(sample[2] - near.theta)
+        dtheta = max(-params.theta_step, min(params.theta_step, dtheta))
+        new = Pose(near.x + delta[0], near.y + delta[1], near.theta + dtheta)
+
+        segment = interp_configs(near, new, params.step / 2.0)
+        if not checker.points_inside(
+                np.vstack([footprint_points(c, fp) for c in segment])).all():
+            continue
+
+        states[len(nodes)] = new.x, new.y, new.theta
+        nodes.append(new)
+        parents.append(ni)
+
+        if np.linalg.norm(new.xy - goal.xy) <= params.goal_tol:
+            path = []
+            i = len(nodes) - 1
+            while i >= 0:
+                path.append(nodes[i])
+                i = parents[i]
+            return path[::-1]
+
+    raise NoPathFound(f"no path after {params.max_iters} iterations")

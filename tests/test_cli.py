@@ -260,6 +260,14 @@ BAD_CONFIGS = [
     ({"planner": {"m_neighbors": 0}}, "m_neighbors"),
     ({"route": {"v_t": "3"}}, "route.v_t must be an integer"),
     (b'{"seed": 1\xff}', "cfg.json is not UTF-8 text"),
+    ({"planner": {"step": 0}}, "planner.step must be > 0"),
+    ({"planner": {"step": -0.01}}, "planner.step must be > 0"),
+    ({"planner": {"max_iters": -1}}, "planner.max_iters must be >= 0"),
+    ({"planner": {"theta_step": 0}}, "planner.theta_step must be > 0"),
+    ({"planner": {"goal_tol": -0.01}}, "planner.goal_tol must be >= 0"),
+    ({"segmentation": {"max_iter": 0}}, "segmentation.max_iter must be >= 1"),
+    ({"segmentation": {"restarts": 0}}, "segmentation.restarts must be >= 1"),
+    ({"segmentation": {"rel_tol": -1e-7}}, "segmentation.rel_tol must be >= 0"),
 ]
 
 

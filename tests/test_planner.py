@@ -8,17 +8,29 @@ from steelnav import (
     Footprint,
     Multigraph,
     RrtParams,
+    Shape,
+    StructureSpec,
+    generate,
     ncbe,
     rrt_plan,
     vocpp,
 )
+from steelnav.boundary import default_alpha_s
 from steelnav.errors import (
     EmptyBoundaries,
     GoalInvalid,
     NoPathFound,
     StartInvalid,
 )
-from steelnav.planner import PibcChecker, footprint_points, plan_route
+from steelnav.planner import (
+    PibcChecker,
+    _interp_segment,
+    footprint_points,
+    plan_route,
+    segment_footprints,
+)
+
+import oracles
 
 
 def corridor_boundary(length=1.0, width=0.14, seed=0, density=20000):
@@ -162,6 +174,71 @@ class TestRrtPlan:
         with pytest.raises(NoPathFound):
             rrt_plan(Config(0, 0, 0), Config(2.5, 0, 0), [b1, b2],
                      self.FP, params, seed=0)
+
+
+class TestAgainstReference:
+    """The state-array planner against the one-object-per-node reference."""
+
+    FP = Footprint(width=0.04, length=0.05)
+
+    @staticmethod
+    def random_poses(rng, n):
+        return np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
+                                rng.uniform(-4.0, 4.0, n)])
+
+    def test_rrt_matches_reference_on_twenty_seeds(self):
+        # the nav-sparse scene and planner settings: a sparse noisy cross,
+        # footprint 0.04 x 0.05, step 0.02, max_iters 300; the turn from
+        # the left arm into the top arm fails for some seeds
+        cloud, truth = generate(StructureSpec(Shape.CROSS, density=2000,
+                                              noise_sigma=0.004, seed=1))
+        xy = cloud.points[:, :2]
+        alpha = default_alpha_s(xy)
+        boundaries = [ncbe(xy[truth.labels == i], alpha)
+                      for i in range(len(truth.rects))]
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
+        checker = PibcChecker(boundaries, params.n_candidates,
+                              params.m_neighbors, params.rule)
+        start, goal = (-0.2, 0.0, 0.0), (0.0, 0.1, math.pi / 2)
+        outcomes = []
+        for seed in range(20):
+            try:
+                path = rrt_plan(Config(*start), Config(*goal), boundaries, self.FP,
+                                params, seed=seed, checker=checker)
+                got = [(c.x, c.y, c.theta) for c in path.configs]
+            except NoPathFound as exc:
+                got = str(exc)
+            try:
+                ref = oracles.rrt_plan(oracles.Pose(*start), oracles.Pose(*goal),
+                                       self.FP, params, seed, checker)
+                want = [(c.x, c.y, c.theta) for c in ref]
+            except NoPathFound as exc:
+                want = str(exc)
+            assert got == want, f"seed {seed}"
+            outcomes.append(isinstance(got, list))
+        assert 0 < sum(outcomes) < len(outcomes)  # both branches ran
+
+    def test_footprints_bit_equal_on_random_poses(self):
+        raw = self.random_poses(np.random.default_rng(7), 2000)
+        poses = [oracles.Pose(*p) for p in raw]
+        want = np.stack([oracles.footprint_points(c, self.FP) for c in poses])
+        got = np.stack([footprint_points(Config(*p), self.FP) for p in raw])
+        assert np.array_equal(got, want)
+        states = np.array([[c.x, c.y, c.theta] for c in poses])
+        assert np.array_equal(segment_footprints(states, self.FP), want)
+
+    def test_segments_bit_equal_on_random_segments(self):
+        # RRT extensions: at most one step (0.02) and theta_step (0.3) long
+        rng = np.random.default_rng(8)
+        poses = self.random_poses(rng, 1000)
+        ends = poses + rng.uniform([-0.02, -0.02, -0.3], [0.02, 0.02, 0.3], poses.shape)
+        for a, b in zip(map(oracles.Pose, *poses.T), map(oracles.Pose, *ends.T)):
+            ref = oracles.interp_configs(a, b, 0.01)
+            want = np.stack([oracles.footprint_points(c, self.FP) for c in ref])
+            seg = _interp_segment(np.array([a.x, a.y, a.theta]),
+                                  np.array([b.x, b.y, b.theta]), 0.01)
+            assert np.array_equal(seg, [[c.x, c.y, c.theta] for c in ref])
+            assert np.array_equal(segment_footprints(seg, self.FP), want)
 
 
 class FakeGraph:
