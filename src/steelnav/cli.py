@@ -7,7 +7,6 @@ figures drawn only from that JSON's data.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,8 +29,7 @@ SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
 
 
 def _write_json(path: Path, payload: dict):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(cfgmod.dump_json({"schema_version": SCHEMA_VERSION, **payload}))
 
 
 def _preprocess(cloud, cfg):
@@ -84,10 +82,7 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
             tolerance=cfg["foot"]["tolerance"], n_anchors=cfg["foot"]["n_anchors"],
             m_neighbors=cfg["foot"]["m_neighbors"])
         candidates = sw.area_check_candidates(bound, plane.centroid, plane.normal, foot)
-        for cand in candidates:
-            if cand.passed:
-                pose = cand.pose
-                break
+        pose = next((c.pose for c in candidates if c.passed), None)
         if pose is not None:
             s_hc = sw.height_available(plane.centroid, _transform(cfg),
                                        cfg["height"]["base_height"],
@@ -259,52 +254,48 @@ def _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
 
 # --- standalone solver -----------------------------------------------------
 
-def load_edge_list(path) -> rt.Multigraph:
-    """Parse 'u v w' lines (ints where possible) into a multigraph."""
-    edges = []
-    vertices = []
-    seen = set()
+def _vertex_ids(tokens) -> list:
+    """The one vertex-id rule: all ints when every token spells an int, else
+    the tokens unchanged.  Ids of one type keep the route's sorts defined."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+        return [int(t) for t in tokens]
+    except ValueError:
+        return list(tokens)
+
+
+def load_edge_list(path) -> rt.Multigraph:
+    """Parse 'u v w' lines into a multigraph; `_vertex_ids` types the ids."""
+    rows = []
+    for lineno, raw in enumerate(cl.read_text(path).splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            rows.append((lineno, parts))
+    tokens = [t for _, parts in rows for t in parts[:2]]
+    id_of = dict(zip(tokens, _vertex_ids(tokens)))
+    edges = []
+    for lineno, parts in rows:
         if len(parts) != 3:
             raise ParseError("expected 'u v w'", line=lineno)
-        u, v = parts[0], parts[1]
-        try:
-            u, v = int(u), int(v)
-        except ValueError:
-            pass
+        u, v = id_of[parts[0]], id_of[parts[1]]
         try:
             w = float(parts[2])
             # the one-edge build runs Multigraph's edge checks on this line
             rt.Multigraph.build((u, v), [(u, v, w)])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                vertices.append(x)
         edges.append((u, v, w))
-    return rt.Multigraph.build(vertices, edges)
+    return rt.Multigraph.build(dict.fromkeys(x for u, v, _ in edges for x in (u, v)),
+                               edges)
 
 
 def solve_graph(path, v_s, v_t, oracle=False, out=None) -> dict:
     g = load_edge_list(path)
-    try:
-        v_s_key = int(v_s)
-        v_t_key = int(v_t)
-    except ValueError:
-        v_s_key, v_t_key = v_s, v_t
-    plan = rt.vocpp(g, v_s_key, v_t_key)
+    # the endpoints join the graph's ids under the same rule
+    *_, v_s, v_t = _vertex_ids([*map(str, g.vertices), v_s, v_t])
+    plan = rt.vocpp(g, v_s, v_t)
     payload = plan.to_json()
     if oracle:
-        ref = rt.brute_force_ocpp(g, v_s_key, v_t_key)
+        ref = rt.brute_force_ocpp(g, v_s, v_t)
         payload["oracle_length"] = ref.total_length
         payload["optimality_gap"] = (
             (plan.total_length - ref.total_length) / ref.total_length
@@ -317,11 +308,11 @@ def solve_graph(path, v_s, v_t, oracle=False, out=None) -> dict:
 # --- synth command -----------------------------------------------------------
 
 def run_synth(shape, out_dir: Path, bar_length, bar_width, density, noise, seed):
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = synth.StructureSpec(synth.Shape(shape), bar_length, bar_width,
                                density, noise, seed)
     cloud, truth = synth.generate(spec)
     lines = [",".join(repr(float(c)) for c in p) for p in cloud.points]
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "cloud.csv").write_text("\n".join(lines) + "\n")
     _write_json(out_dir / "ground_truth.json", truth.to_json())
 
@@ -338,17 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", help="write a config template with all defaults")
     p.add_argument("--out", default="steelnav.json")
 
-    p = sub.add_parser("switching", help="run the switching-control pipeline")
-    p.add_argument("--input", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("navigate", help="run the full navigation pipeline")
-    p.add_argument("--input", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    for name, text in (("switching", "run the switching-control pipeline"),
+                       ("navigate", "run the full navigation pipeline")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True)
+        p.add_argument("--config", default=None)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("solve", help="solve the open postman route on an edge list")
     p.add_argument("--input", required=True)
@@ -374,7 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init":
-            Path(args.out).write_text(cfgmod.default_config_text())
+            Path(args.out).write_text(cfgmod.dump_json(cfgmod.DEFAULTS))
             return 0
         if args.command == "synth":
             run_synth(args.shape, Path(args.out), args.bar_length, args.bar_width,
@@ -383,24 +370,16 @@ def main(argv=None) -> int:
         if args.command == "solve":
             payload = solve_graph(args.input, args.vs, args.vt,
                                   oracle=args.oracle, out=args.out)
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            sys.stdout.write(cfgmod.dump_json(payload))
             return 0
-        cfg = cfgmod.load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = cfgmod.load_config(args.config, seed=args.seed)
         if args.command == "switching":
             run_switching(args.input, cfg, Path(args.out))
             return 0
-        if args.command == "navigate":
-            return run_navigation(args.input, cfg, Path(args.out))
-    except SteelNavError as exc:
+        return run_navigation(args.input, cfg, Path(args.out))
+    except (SteelNavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

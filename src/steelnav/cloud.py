@@ -7,7 +7,8 @@ take an explicit seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,30 +99,23 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
 
-def _parse_float_triple(fields, lineno):
-    if len(fields) < 3:
-        raise ParseError(f"expected 3 coordinates, got {len(fields)}", line=lineno)
+def read_text(path, error_cls=ParseError) -> str:
+    """The file's UTF-8 text; other bytes raise `error_cls` with their offset."""
     try:
-        vals = [float(fields[0]), float(fields[1]), float(fields[2])]
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from None
-    if not all(np.isfinite(v) for v in vals):
-        raise ParseError("non-finite coordinate", line=lineno)
-    return vals
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _load_csv(lines):
-    pts = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pts.append(_parse_float_triple(line.split(","), lineno))
-    return pts
+# Each header parser returns (index of the first data line, (ix, iy, iz)
+# column indices, field separator, row count or None to read to the end).
+
+def _csv_header(lines):
+    return 0, (0, 1, 2), ",", None
 
 
-def _load_pcd(lines):
-    """Minimal PCD reader: ascii data with x y z among the fields."""
+def _pcd_header(lines):
+    """Minimal PCD header: ascii data with x y z among the fields."""
     fields = None
     data_start = None
     for lineno, raw in enumerate(lines, start=1):
@@ -140,24 +134,14 @@ def _load_pcd(lines):
     if fields is None or data_start is None:
         raise ParseError("missing FIELDS or DATA header")
     try:
-        ix, iy, iz = fields.index("x"), fields.index("y"), fields.index("z")
+        cols = (fields.index("x"), fields.index("y"), fields.index("z"))
     except ValueError:
         raise ParseError("FIELDS must contain x y z") from None
-
-    pts = []
-    for lineno, raw in enumerate(lines[data_start:], start=data_start + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        cols = line.split()
-        if max(ix, iy, iz) >= len(cols):
-            raise ParseError("row shorter than declared fields", line=lineno)
-        pts.append(_parse_float_triple([cols[ix], cols[iy], cols[iz]], lineno))
-    return pts
+    return data_start, cols, None, None
 
 
-def _load_ply(lines):
-    """Minimal PLY reader: ascii format, vertex element with x, y, z."""
+def _ply_header(lines):
+    """Minimal PLY header: ascii format, vertex element with x, y, z."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file", line=1)
     n_vertex = None
@@ -184,41 +168,53 @@ def _load_ply(lines):
     if n_vertex is None or header_end is None:
         raise ParseError("missing vertex element or end_header")
     try:
-        ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
+        cols = (props.index("x"), props.index("y"), props.index("z"))
     except ValueError:
         raise ParseError("vertex element must have x, y, z properties") from None
+    return header_end, cols, None, n_vertex
 
+
+def _parse_rows(lines, start, cols, sep, count):
+    """x, y, z floats of the data rows; blank and '#' lines are skipped."""
+    ix, iy, iz = cols
+    need = max(cols) + 1
     pts = []
-    for lineno, raw in enumerate(lines[header_end:header_end + n_vertex],
-                                 start=header_end + 1):
-        cols = raw.split()
-        if max(ix, iy, iz) >= len(cols):
-            raise ParseError("vertex row shorter than property list", line=lineno)
-        pts.append(_parse_float_triple([cols[ix], cols[iy], cols[iz]], lineno))
-    if len(pts) != n_vertex:
-        raise ParseError(f"expected {n_vertex} vertices, got {len(pts)}")
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if len(pts) == count:
+            break
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = line.split(sep)
+        if len(row) < need:
+            raise ParseError(f"expected {need} columns, got {len(row)}", line=lineno)
+        try:
+            p = [float(row[ix]), float(row[iy]), float(row[iz])]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if not (math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])):
+            raise ParseError("non-finite coordinate", line=lineno)
+        pts.append(p)
+    if count is not None and len(pts) != count:
+        raise ParseError(f"expected {count} vertices, got {len(pts)}")
     return pts
 
 
-_LOADERS = {"csv": _load_csv, "pcd": _load_pcd, "ply": _load_ply}
+_HEADERS = {"csv": _csv_header, "pcd": _pcd_header, "ply": _ply_header}
 
 
-def load_cloud(path, fmt: str | None = None) -> PointCloud:
-    """Load a cloud from CSV, ascii PCD, or ascii PLY.
+def load_cloud(path) -> PointCloud:
+    """Load a cloud from CSV, ascii PCD, or ascii PLY, by file suffix.
 
-    The format defaults to the file suffix.  NaN/Inf coordinates are a
-    hard ParseError (with the offending line), never silently dropped.
+    NaN/Inf coordinates are a hard ParseError (with the offending line),
+    never silently dropped.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    if fmt not in _LOADERS:
+    fmt = path.suffix.lstrip(".").lower()
+    if fmt not in _HEADERS:
         raise ParseError(f"unsupported format {fmt!r}")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
-    pts = _LOADERS[fmt](lines)
+    lines = read_text(path).splitlines()
+    pts = _parse_rows(lines, *_HEADERS[fmt](lines))
     return PointCloud(np.asarray(pts, dtype=float).reshape(-1, 3), Frame.CAMERA)
 
 
@@ -307,7 +303,7 @@ def extract_plane_ransac(
 
 def transform_point(p: np.ndarray, t: RigidTransform) -> np.ndarray:
     """Apply the rigid transform: R.p + t."""
-    return t.rotation @ np.asarray(p, dtype=float) + t.translation
+    return t.apply(p)
 
 
 def transform_cloud(cloud: PointCloud, t: RigidTransform,

@@ -4,9 +4,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from pathlib import Path
 
-from .cloud import RigidTransform
+from .cloud import RigidTransform, read_text
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -152,6 +151,7 @@ def validate(cfg: dict) -> dict:
     _check_types(cfg)
     _require(cfg["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {cfg['schema_version']}")
+    _require(cfg["seed"] >= 0, "seed must be >= 0")
     pt = cfg["cloud"]["passthrough"]
     if pt is not None:
         _require(set(pt) == {"axis", "lo", "hi"},
@@ -200,18 +200,23 @@ def validate(cfg: dict) -> dict:
     return cfg
 
 
-def load_config(path=None) -> dict:
-    """Load and validate a config file; missing keys fall back to defaults."""
-    if path is None:
-        return validate(copy.deepcopy(DEFAULTS))
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return validate(_merge(DEFAULTS, raw))
+def load_config(path=None, seed=None) -> dict:
+    """Load and validate a config file; missing keys fall back to defaults.
+
+    A `seed` other than None replaces the file's seed before validation.
+    """
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(read_text(path, ConfigError))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    cfg = _merge(DEFAULTS, raw)
+    if seed is not None:
+        cfg["seed"] = seed
+    return validate(cfg)
 
 
-def default_config_text() -> str:
-    return json.dumps(DEFAULTS, indent=2, sort_keys=True) + "\n"
+def dump_json(obj) -> str:
+    """The one JSON layout of artifacts, stdout and the config template."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -167,10 +167,8 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
 def area_check_and_pose(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
                         fp: FootParams) -> SurfacePose | None:
     """First passing anchor wins; None means no sufficient area."""
-    for cand in area_check_candidates(b, centroid, normal, fp):
-        if cand.passed:
-            return cand.pose
-    return None
+    candidates = area_check_candidates(b, centroid, normal, fp)
+    return next((c.pose for c in candidates if c.passed), None)
 
 
 def height_available(surface_centroid_cam: np.ndarray, t_cam_to_base: RigidTransform,

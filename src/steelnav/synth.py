@@ -78,12 +78,17 @@ class StructureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.bar_length, self.bar_width,
+                                       self.density, self.noise_sigma))):
+            raise InvalidSpec("bar dimensions, density and noise_sigma must be finite")
         if self.bar_length <= 0 or self.bar_width <= 0:
             raise InvalidSpec("bar dimensions must be positive")
         if self.density <= 0:
             raise InvalidSpec("density must be positive")
         if self.noise_sigma < 0:
             raise InvalidSpec("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
 
 
 @dataclass

@@ -195,6 +195,13 @@ class TestSolve:
         printed = json.loads(capsys.readouterr().out)
         assert printed["walk"] == ["a", "b", "c"]
 
+    def test_one_id_type_per_file(self, tmp_path, capsys):
+        # one string token makes every id a string: "1" is one vertex
+        path = self.write_edges(tmp_path, "0 1 1.0\n1 b 1.0\n")
+        assert run("solve", "--input", str(path), "--vs", "0", "--vt", "b") == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["walk"] == ["0", "1", "b"]
+
 
 BAD_EDGE_LISTS = [
     ("0 1 abc\n", "line 1: could not convert"),
@@ -268,6 +275,7 @@ BAD_CONFIGS = [
     ({"segmentation": {"max_iter": 0}}, "segmentation.max_iter must be >= 1"),
     ({"segmentation": {"restarts": 0}}, "segmentation.restarts must be >= 1"),
     ({"segmentation": {"rel_tol": -1e-7}}, "segmentation.rel_tol must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
 ]
 
 
@@ -280,6 +288,33 @@ def test_bad_config_value_is_one_error_line(command, config, message, tmp_path, 
     out = tmp_path / "out"
     assert run(command, "--input", str(cloud), "--config", str(cfg),
                "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["switching", "navigate"])
+def test_negative_seed_flag_is_one_error_line(command, tmp_path, capsys):
+    # --seed is validated like the config's seed
+    cloud = TestSwitching().write_plane(tmp_path, z=0.0, n=500)
+    out = tmp_path / "out"
+    assert run(command, "--input", str(cloud), "--out", str(out), "--seed", "-1") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: seed must be >= 0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--bar-length", "nan", "must be finite"),
+    ("--density", "inf", "must be finite"),
+    ("--bar-width", "inf", "must be finite"),
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--noise", "nan", "must be finite"),
+    ("--density", "-5", "density must be positive"),
+])
+def test_bad_synth_argument_is_one_error_line(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert run("synth", "--shape", "i", "--out", str(out), flag, value) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()

@@ -74,6 +74,50 @@ class TestLoadCloud:
             load_cloud(write(tmp_path, "a.xyz", "0 0 0\n"))
 
 
+PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+class TestRowParser:
+    """Column selection, skipped lines and row errors of all three formats."""
+
+    @pytest.mark.parametrize("name,text", [
+        ("a.pcd", "VERSION .7\nFIELDS x y z rgb\nDATA ascii\n0 0 0 7\n1 2 3 7\n"),
+        ("a.pcd", "VERSION .7\nFIELDS z x y\nDATA ascii\n0 0 0\n3 1 2\n"),
+        ("a.pcd", "VERSION .7\nFIELDS x y z\n# a comment\nDATA ascii\n0 0 0\n1 2 3\n"),
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
+         "property float intensity\nend_header\n0 0 0 9\n1 2 3 9\n"),
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
+         "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+         "0 0 0\n1 2 3\n3 0 1 1\n"),
+        ("a.csv", "0,0,0,5\n1,2,3,5\n"),
+    ])
+    def test_selects_xyz_columns(self, tmp_path, name, text):
+        c = load_cloud(write(tmp_path, name, text))
+        np.testing.assert_array_equal(c.points, [[0, 0, 0], [1, 2, 3]])
+
+    @pytest.mark.parametrize("name,text,line", [
+        ("a.csv", "0,0,0\n1,2\n", 2),
+        ("a.pcd", "FIELDS x y z\nDATA ascii\n0 0 0\n1 2\n", 4),
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
+         "end_header\n0 0 0\n1 2\n", 9),
+        ("a.csv", "0,0,0\n1,inf,3\n", 2),
+        ("a.pcd", "FIELDS x y z\nDATA ascii\nnan 0 0\n", 3),
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 1\n" + PLY_XYZ +
+         "end_header\n0 0 -inf\n", 8),
+        ("a.csv", "0,0,0\n1,x,3\n", 2),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, name, text, line):
+        with pytest.raises(ParseError) as ei:
+            load_cloud(write(tmp_path, name, text))
+        assert ei.value.line == line
+
+    def test_ply_with_fewer_rows_than_declared(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 3\n" + PLY_XYZ +
+                "end_header\n0 0 0\n1 2 3\n")
+        with pytest.raises(ParseError, match="expected 3 vertices, got 2"):
+            load_cloud(write(tmp_path, "a.ply", text))
+
+
 class TestPassthrough:
     def test_definition(self):
         c = PointCloud(np.array([[0.0, 0, 0], [5.0, 0, 0]]))
