@@ -77,10 +77,7 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
     if s_pa:
         alpha = _alpha_for(plane.inliers.points, cfg)
         bound = bd.ncbe(plane.inliers.points, alpha)
-        foot = sw.FootParams(
-            width=cfg["foot"]["width"], length=cfg["foot"]["length"],
-            tolerance=cfg["foot"]["tolerance"], n_anchors=cfg["foot"]["n_anchors"],
-            m_neighbors=cfg["foot"]["m_neighbors"])
+        foot = sw.FootParams(**cfg["foot"])
         candidates = sw.area_check_candidates(bound, plane.centroid, plane.normal, foot)
         pose = next((c.pose for c in candidates if c.passed), None)
         if pose is not None:

@@ -239,7 +239,11 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         raise InvalidLeaf(f"leaf must be > 0, got {leaf}")
     if len(cloud) == 0:
         return cloud
-    idx = np.floor(cloud.points / leaf).astype(np.int64)
+    with np.errstate(over="ignore"):
+        scaled = np.floor(cloud.points / leaf)
+    if not np.abs(scaled).max() < 2.0 ** 63:  # also false on inf and NaN
+        raise InvalidLeaf(f"leaf {leaf} is too small: voxel indices overflow int64")
+    idx = scaled.astype(np.int64)
     uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, cloud.points)

@@ -4,110 +4,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
+from functools import reduce
 
 from .cloud import RigidTransform, read_text
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
-
-DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "cloud": {
-        # pass-through window per axis, null disables the filter
-        "passthrough": None,  # e.g. {"axis": "z", "lo": 0.0, "hi": 2.0}
-        "voxel_leaf": None,  # meters, null disables downsampling
-        "ransac": {
-            "dist_thresh": 0.01,
-            "max_iters": 500,
-            "min_inlier_fraction": 0.2,
-        },
-    },
-    "transform": {
-        # camera -> robot base; identity by default
-        "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        "translation": [0.0, 0.0, 0.0],
-    },
-    "height": {
-        "base_height": 0.0,
-        "tol": 0.005,
-    },
-    "foot": {
-        "width": 0.2,
-        "length": 0.3,
-        "tolerance": 0.02,
-        "n_anchors": 5,
-        "m_neighbors": 3,
-    },
-    "boundary": {
-        "alpha_s": None,  # null -> 2x median nearest-neighbor spacing
-        "eps_border": None,  # null -> 2 * alpha_s
-        "l_b": 0.06,
-    },
-    "segmentation": {
-        "n_cmin": 2,
-        "n_cmax": 6,
-        "max_iter": 200,
-        "rel_tol": 1e-7,
-        "restarts": 3,
-    },
-    "graph": {
-        "d_min": None,  # null -> robot footprint length
-    },
-    "route": {
-        "v_s": 0,
-        "v_t": None,  # null -> highest vertex id
-    },
-    "planner": {
-        "footprint_width": 0.04,
-        "footprint_length": 0.05,
-        "step": None,  # null -> footprint_width / 2
-        "theta_step": 0.3,
-        "goal_tol": None,  # null -> footprint_width / 4
-        "goal_bias": 0.1,
-        "max_iters": 5000,
-        "n_candidates": 3,
-        "m_neighbors": 5,
-        # "any" accepts a point when any of its m nearest boundary points
-        # is farther from the cluster center; "all" is far more conservative
-        # and rejects most of a thin bar's interior, so it is unusable for
-        # corridor planning (it remains the default for point_in_boundary).
-        "rule": "any",
-    },
-}
-
-
-def _merge(defaults, override, path=""):
-    if not isinstance(override, dict):
-        raise ConfigError(f"expected object at {path or 'top level'}")
-    merged = copy.deepcopy(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and defaults[key]:
-            merged[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            merged[key] = value
-    return merged
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
-
-
-# Type of each leaf whose default is null; every other leaf takes the type
-# of its default.  Leaves typed float also accept integers.
-_NULLABLE = {
-    "cloud.passthrough": dict,
-    "cloud.voxel_leaf": float,
-    "boundary.alpha_s": float,
-    "boundary.eps_border": float,
-    "graph.d_min": float,
-    "route.v_t": int,
-    "planner.step": float,
-    "planner.goal_tol": float,
-}
 
 
 def _is_number(v) -> bool:
@@ -122,36 +25,119 @@ def _numbers_like(value, default) -> bool:
     return _is_number(value)
 
 
-def _type_ok(value, kind, default) -> bool:
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind in (float, list):
-        return _numbers_like(value, default)
-    return isinstance(value, kind)
+# Type tests of a leaf, given its default: the name used in type errors
+# and the test.  A float leaf also accepts integers.
+_KINDS = {
+    int: ("an integer", lambda v, d: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v, d: _is_number(v)),
+    list: ("a list of numbers shaped like the default", _numbers_like),
+    str: ("a string", lambda v, d: isinstance(v, str)),
+    dict: ("an object", lambda v, d: isinstance(v, dict)),
+}
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+# One row per leaf: dotted key -> (default, kind, bound).  A null default
+# makes the leaf nullable.  A bound is (text, predicate) and fails as
+# "<key> must be <text>".
+_KEYS = {
+    "schema_version": (SCHEMA_VERSION, int, None),
+    "seed": (0, int, _NON_NEGATIVE),
+    # pass-through window per axis, e.g. {"axis": "z", "lo": 0.0, "hi": 2.0};
+    # null disables the filter
+    "cloud.passthrough": (None, dict, None),
+    "cloud.voxel_leaf": (None, float, _POSITIVE),  # meters, null disables downsampling
+    "cloud.ransac.dist_thresh": (0.01, float, _POSITIVE),
+    "cloud.ransac.max_iters": (500, int, _NON_NEGATIVE),
+    "cloud.ransac.min_inlier_fraction": (0.2, float, _FRACTION),
+    # camera -> robot base; identity by default
+    "transform.rotation": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], list,
+                           None),
+    "transform.translation": ([0.0, 0.0, 0.0], list, None),
+    "height.base_height": (0.0, float, None),
+    "height.tol": (0.005, float, _NON_NEGATIVE),
+    "foot.width": (0.2, float, _POSITIVE),
+    "foot.length": (0.3, float, _POSITIVE),
+    "foot.tolerance": (0.02, float, _NON_NEGATIVE),
+    "foot.n_anchors": (5, int, _AT_LEAST_ONE),
+    "foot.m_neighbors": (3, int, _AT_LEAST_ONE),
+    # null -> 2x median nearest-neighbor spacing
+    "boundary.alpha_s": (None, float, _POSITIVE),
+    "boundary.eps_border": (None, float, _POSITIVE),  # null -> 2 * alpha_s
+    "boundary.l_b": (0.06, float, _POSITIVE),
+    "segmentation.n_cmin": (2, int, (">= 2", lambda v: v >= 2)),
+    "segmentation.n_cmax": (6, int, None),
+    "segmentation.max_iter": (200, int, _AT_LEAST_ONE),
+    "segmentation.rel_tol": (1e-7, float, _NON_NEGATIVE),
+    "segmentation.restarts": (3, int, _AT_LEAST_ONE),
+    "graph.d_min": (None, float, _NON_NEGATIVE),  # null -> robot footprint length
+    "route.v_s": (0, int, None),
+    "route.v_t": (None, int, None),  # null -> highest vertex id
+    "planner.footprint_width": (0.04, float, _POSITIVE),
+    "planner.footprint_length": (0.05, float, _POSITIVE),
+    "planner.step": (None, float, _POSITIVE),  # null -> footprint_width / 2
+    "planner.theta_step": (0.3, float, _POSITIVE),
+    "planner.goal_tol": (None, float, _NON_NEGATIVE),  # null -> footprint_width / 4
+    "planner.goal_bias": (0.1, float, _FRACTION),
+    "planner.max_iters": (5000, int, _NON_NEGATIVE),
+    "planner.n_candidates": (3, int, _AT_LEAST_ONE),
+    "planner.m_neighbors": (5, int, _AT_LEAST_ONE),
+    # "any" accepts a point when any of its m nearest boundary points
+    # is farther from the cluster center; "all" is far more conservative
+    # and rejects most of a thin bar's interior, so it is unusable for
+    # corridor planning (it remains the default for point_in_boundary).
+    "planner.rule": ("any", str, ("'all' or 'any'", lambda v: v in ("all", "any"))),
+}
 
 
-_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
-               list: "a list of numbers shaped like the default", dict: "an object"}
+def _nest(flat: dict) -> dict:
+    nested = {}
+    for key, value in flat.items():
+        *sections, leaf = key.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+    return nested
 
 
-def _check_types(cfg: dict, defaults: dict = DEFAULTS, path: str = ""):
-    for key, default in defaults.items():
-        name, value = path + key, cfg[key]
-        if isinstance(default, dict) and default:
-            _check_types(value, default, name + ".")
-            continue
-        kind = _NULLABLE.get(name, type(default))
-        if value is None and name in _NULLABLE:
-            continue
-        _require(_type_ok(value, kind, default),
-                 f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+DEFAULTS = _nest({key: row[0] for key, row in _KEYS.items()})
+
+
+def _merge(defaults, override, path=""):
+    if not isinstance(override, dict):
+        raise ConfigError(f"expected object at {path or 'top level'}")
+    merged = copy.deepcopy(defaults)
+    for key, value in override.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {path + key!r}")
+        if isinstance(defaults[key], dict):
+            merged[key] = _merge(defaults[key], value, path + key + ".")
+        else:
+            merged[key] = value
+    return merged
+
+
+def _require(cond, msg):
+    if not cond:
+        raise ConfigError(msg)
 
 
 def validate(cfg: dict) -> dict:
-    _check_types(cfg)
+    for key, (default, kind, bound) in _KEYS.items():
+        value = reduce(operator.getitem, key.split("."), cfg)
+        if value is None and default is None:
+            continue
+        kind_name, is_kind = _KINDS[kind]
+        _require(is_kind(value, default),
+                 f"{key} must be {kind_name}, got {json.dumps(value)}")
+        if bound is not None:
+            _require(bound[1](value), f"{key} must be {bound[0]}")
     _require(cfg["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {cfg['schema_version']}")
-    _require(cfg["seed"] >= 0, "seed must be >= 0")
     pt = cfg["cloud"]["passthrough"]
     if pt is not None:
         _require(set(pt) == {"axis", "lo", "hi"},
@@ -160,43 +146,13 @@ def validate(cfg: dict) -> dict:
         _require(_is_number(pt["lo"]) and _is_number(pt["hi"]),
                  "passthrough lo and hi must be finite numbers")
         _require(pt["lo"] <= pt["hi"], "passthrough lo must be <= hi")
-    leaf = cfg["cloud"]["voxel_leaf"]
-    _require(leaf is None or leaf > 0, "voxel_leaf must be positive")
-    _require(cfg["cloud"]["ransac"]["dist_thresh"] > 0, "ransac dist_thresh must be > 0")
-    _require(cfg["foot"]["width"] > 0 and cfg["foot"]["length"] > 0,
-             "foot dimensions must be positive")
-    _require(cfg["foot"]["tolerance"] >= 0, "foot tolerance must be >= 0")
-    _require(cfg["foot"]["n_anchors"] >= 1 and cfg["foot"]["m_neighbors"] >= 1,
-             "foot n_anchors and m_neighbors must be >= 1")
     try:
         RigidTransform(cfg["transform"]["rotation"], cfg["transform"]["translation"])
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
-    _require(cfg["height"]["tol"] >= 0, "height tol must be >= 0")
-    b = cfg["boundary"]
-    _require(b["alpha_s"] is None or b["alpha_s"] > 0, "alpha_s must be positive")
-    _require(b["eps_border"] is None or b["eps_border"] > 0,
-             "eps_border must be positive")
-    _require(b["l_b"] > 0, "l_b must be positive")
     s = cfg["segmentation"]
-    _require(s["n_cmin"] >= 2 and s["n_cmax"] >= s["n_cmin"],
-             "need n_cmax >= n_cmin >= 2")
-    _require(s["max_iter"] >= 1, "segmentation.max_iter must be >= 1")
-    _require(s["restarts"] >= 1, "segmentation.restarts must be >= 1")
-    _require(s["rel_tol"] >= 0, "segmentation.rel_tol must be >= 0")
-    g = cfg["graph"]
-    _require(g["d_min"] is None or g["d_min"] >= 0, "d_min must be >= 0")
-    p = cfg["planner"]
-    _require(p["footprint_width"] > 0 and p["footprint_length"] > 0,
-             "planner footprint dimensions must be positive")
-    _require(p["step"] is None or p["step"] > 0, "planner.step must be > 0")
-    _require(p["theta_step"] > 0, "planner.theta_step must be > 0")
-    _require(p["goal_tol"] is None or p["goal_tol"] >= 0, "planner.goal_tol must be >= 0")
-    _require(p["max_iters"] >= 0, "planner.max_iters must be >= 0")
-    _require(0.0 <= p["goal_bias"] <= 1.0, "goal_bias must be in [0, 1]")
-    _require(p["rule"] in ("all", "any"), "planner rule must be 'all' or 'any'")
-    _require(p["n_candidates"] >= 1 and p["m_neighbors"] >= 1,
-             "planner n_candidates and m_neighbors must be >= 1")
+    _require(s["n_cmax"] >= s["n_cmin"],
+             "segmentation.n_cmax must be >= segmentation.n_cmin")
     return cfg
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestNcbe:
             ncbe(np.zeros((0, 2)), 0.1)
         with pytest.raises(InvalidAlpha):
             ncbe(np.zeros((3, 2)), 0.0)
+
+    def test_infinite_alpha(self):
+        with pytest.raises(InvalidAlpha, match="finite"):
+            ncbe(square_samples(50), math.inf)
+
+    def test_alpha_too_small_for_coordinates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidAlpha, match="too small"):
+                ncbe(square_samples(50), 1e-300)
 
     def test_3d_input(self):
         rng = np.random.default_rng(6)
@@ -321,6 +332,13 @@ class TestNcbeWindowsOracle:
         for p, alpha in ((pts, 1.0), (pts, 0.5), (noisy, 0.3)):
             got = {tuple(q) for q in ncbe(p, alpha).points}
             assert got == oracles.ncbe_points(p, alpha)
+
+    def test_mostly_empty_windows(self):
+        # 20,000 windows per axis for 300 points: ncbe visits only those
+        # near a point and must still find every nonempty one
+        pts = np.random.default_rng(4).uniform(0, 2, (300, 2))
+        got = {tuple(q) for q in ncbe(pts, 1e-4).points}
+        assert got == oracles.ncbe_points(pts, 1e-4)
 
 
 def nearest_neighbor_cases():

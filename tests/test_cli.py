@@ -276,6 +276,14 @@ BAD_CONFIGS = [
     ({"segmentation": {"restarts": 0}}, "segmentation.restarts must be >= 1"),
     ({"segmentation": {"rel_tol": -1e-7}}, "segmentation.rel_tol must be >= 0"),
     ({"seed": -1}, "seed must be >= 0"),
+    ({"cloud": {"ransac": {"min_inlier_fraction": 1.5}}},
+     "cloud.ransac.min_inlier_fraction must be in [0, 1]"),
+    ({"cloud": {"ransac": {"min_inlier_fraction": -0.1}}},
+     "cloud.ransac.min_inlier_fraction must be in [0, 1]"),
+    ({"cloud": {"ransac": {"max_iters": -1}}}, "cloud.ransac.max_iters must be >= 0"),
+    # accepted as positive, but too small for the coordinates
+    ({"cloud": {"voxel_leaf": 1e-300}}, "leaf 1e-300 is too small"),
+    ({"boundary": {"alpha_s": 1e-300}}, "alpha_s 1e-300 is too small"),
 ]
 
 

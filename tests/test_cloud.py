@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,24 @@ class TestVoxelDownsample:
     def test_bad_leaf(self):
         with pytest.raises(InvalidLeaf):
             voxel_downsample(PointCloud(np.zeros((1, 3))), 0.0)
+
+    @pytest.mark.parametrize("coord,leaf", [
+        (0.5, 1e-300),  # finite quotient far beyond int64
+        (1e300, 1e-10),  # the quotient overflows to inf
+        (2.0 ** 63, 1.0),
+        (-(2.0 ** 63), 1.0),
+    ])
+    def test_leaf_too_small_for_int64(self, coord, leaf):
+        c = PointCloud(np.array([[0.0, 0.0, 0.0], [coord, 0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLeaf, match="too small"):
+                voxel_downsample(c, leaf)
+
+    def test_largest_voxel_index_below_int64_limit(self):
+        coord = math.nextafter(2.0 ** 63, 0.0)
+        out = voxel_downsample(PointCloud(np.array([[coord, -coord, 0.0]])), 1.0)
+        assert out.points.tolist() == [[coord, -coord, 0.0]]
 
     def test_stays_in_bbox(self):
         rng = np.random.default_rng(5)
