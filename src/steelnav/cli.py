@@ -7,6 +7,7 @@ figures drawn only from that JSON's data.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -226,8 +227,10 @@ def _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
     pos = {v["id"]: np.asarray(v["pos"]) for v in graph_json["vertices"]}
     for e in graph_json["edges"]:
         canvas.line(pos[e["u"]], pos[e["v"]], stroke="#000000", width=1.5)
+    # one path for all vertex dots: a one-dot path is longer than a circle
+    canvas.points([pos[v["id"]] for v in graph_json["vertices"]], radius=4,
+                  fill="#000000")
     for v in graph_json["vertices"]:
-        canvas.points([pos[v["id"]]], radius=4, fill="#000000")
         canvas.text(pos[v["id"]], str(v["id"]))
     (out_dir / "graph.svg").write_text(canvas.render())
 
@@ -358,7 +361,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init":
-            Path(args.out).write_text(cfgmod.dump_json(cfgmod.DEFAULTS))
+            # the one JSON file a person edits stays indented
+            Path(args.out).write_text(
+                json.dumps(cfgmod.DEFAULTS, indent=2, sort_keys=True) + "\n")
             return 0
         if args.command == "synth":
             run_synth(args.shape, Path(args.out), args.bar_length, args.bar_width,

@@ -174,5 +174,6 @@ def load_config(path=None, seed=None) -> dict:
 
 
 def dump_json(obj) -> str:
-    """The one JSON layout of artifacts, stdout and the config template."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout of artifacts and stdout: one line, sorted keys,
+    no whitespace between tokens."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -3,6 +3,13 @@
 Pure view layer: every figure is drawn from the same data that lands in
 the sibling JSON artifact.  Output is deterministic (fixed float
 formatting, no timestamps).
+
+Each call of `SvgCanvas.points` is one point layer, drawn as one `<path>`
+rather than one element per point: every point is a zero-length subpath
+`M x y h0`, which a round line cap paints as a disk of the stroke width
+(SVG 1.1 section 11.4), in the JSON points' order and at their absolute
+coordinates.  The JSON artifacts beside the SVGs are compact one-line JSON
+with sorted keys (`config.dump_json`).
 """
 from __future__ import annotations
 
@@ -42,11 +49,16 @@ class SvgCanvas:
         return x, y
 
     def points(self, pts, radius=1.5, fill="#333333"):
-        for p in np.atleast_2d(pts):
-            x, y = self._xy(p)
-            self.parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
-                f'fill="{fill}"/>')
+        """One path of round dots of `radius`, one `M x y h0` per point, in
+        order; an empty point set adds nothing."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.size == 0:
+            return
+        d = "".join(f"M{_fmt(x)} {_fmt(y)}h0"
+                    for x, y in (self._xy(p) for p in np.atleast_2d(pts)))
+        self.parts.append(
+            f'<path d="{d}" stroke="{fill}" stroke-width="{_fmt(2 * radius)}" '
+            f'stroke-linecap="round"/>')
 
     def line(self, a, b, stroke="#000000", width=1.5):
         x1, y1 = self._xy(a)
