@@ -24,7 +24,7 @@ from . import switching as sw
 from . import synth
 from .errors import (
     DegenerateCloud, DisconnectedEndpoints, NoPlane, ParseError, SteelNavError)
-from .planner import Footprint, RrtParams, plan_route
+from .planner import Footprint, PibcChecker, RrtParams, plan_route
 
 SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
 
@@ -85,7 +85,7 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
             s_hc = sw.height_available(plane.centroid, _transform(cfg),
                                        cfg["height"]["base_height"],
                                        cfg["height"]["tol"])
-    decision = sw.switch_decision(s_pa, pose is not None, s_hc, pose)
+    decision = sw.switch_decision(s_pa, s_hc, pose)
 
     payload = {
         "decision": decision.to_json(),
@@ -155,22 +155,20 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     if v_t is None:
         v_t = max(g.vertex_ids())
     try:
-        route = rt.vocpp(g, v_s, v_t)
+        route = rt.vocpp(rt.Multigraph.from_structure_graph(g), v_s, v_t)
     except DisconnectedEndpoints as exc:
         raise DisconnectedEndpoints(
             f"structure graph has {g.component_count} components: {exc}") from None
 
-    fp = Footprint(cfg["planner"]["footprint_width"],
-                   cfg["planner"]["footprint_length"])
     p = cfg["planner"]
+    fp = Footprint(p["footprint_width"], p["footprint_length"])
     params = RrtParams(
         step=p["step"] if p["step"] is not None else fp.width / 2.0,
         theta_step=p["theta_step"],
         goal_tol=p["goal_tol"] if p["goal_tol"] is not None else fp.width / 4.0,
-        goal_bias=p["goal_bias"], max_iters=p["max_iters"],
-        n_candidates=p["n_candidates"], m_neighbors=p["m_neighbors"],
-        rule=p["rule"])
-    result = plan_route(route, g, cs.boundaries, fp, params, seed=cfg["seed"])
+        goal_bias=p["goal_bias"], max_iters=p["max_iters"])
+    checker = PibcChecker(cs.boundaries, p["n_candidates"], p["m_neighbors"], p["rule"])
+    result = plan_route(route, g, checker, fp, params, seed=cfg["seed"])
 
     # stage artifacts, written only once every stage has succeeded
     if g.component_count > 1:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateCloud,
     InvalidLeaf,
+    InvalidPoints,
     InvalidRange,
     NoPlane,
     ParseError,
@@ -41,9 +42,9 @@ class PointCloud:
         if pts.size == 0:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must have shape (N, 3)")
+            raise InvalidPoints("points must have shape (N, 3)")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise InvalidPoints("points must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -96,7 +97,9 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        # an overflow gives inf, which PointCloud rejects as an InvalidPoints error
+        with np.errstate(over="ignore"):
+            return pts @ self.rotation.T + self.translation
 
 
 def read_text(path, error_cls=ParseError) -> str:

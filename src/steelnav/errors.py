@@ -15,6 +15,10 @@ class ParseError(SteelNavError):
         self.line = line
 
 
+class InvalidPoints(SteelNavError, ValueError):
+    """Points that are not an (N, 3) array of finite numbers."""
+
+
 class InvalidRange(SteelNavError):
     pass
 
@@ -52,10 +56,6 @@ class EmptyBoundary(SteelNavError):
 # --- switching -----------------------------------------------------------
 
 class DegenerateFrame(SteelNavError):
-    pass
-
-
-class InconsistentInput(SteelNavError):
     pass
 
 

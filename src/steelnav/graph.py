@@ -111,9 +111,6 @@ def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
     order.  Bar-end candidates closer than d_min to any existing vertex
     are suppressed (a stub shorter than the robot is not traversable).
     """
-    if cs.boundaries is None or cs.neighbor_matrix is None or cs.borders is None:
-        raise ValueError("cluster set must carry boundaries and neighbor matrix")
-
     vertices: list[Vertex] = []
     edges: list[Edge] = []
     center_id: dict[int, int] = {}

@@ -7,6 +7,7 @@ nearest candidate clusters; RRT grows a tree of valid configurations in
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,32 +42,24 @@ class Config:
         return np.array([self.x, self.y])
 
 
-def _default_template(width: float, length: float) -> np.ndarray:
-    hw, hl = width / 2.0, length / 2.0
-    return np.array([
-        [hl, hw], [hl, -hw], [-hl, hw], [-hl, -hw],  # corners
-        [hl, 0.0], [-hl, 0.0], [0.0, hw], [0.0, -hw],  # edge midpoints
-        [0.0, 0.0],  # center
-    ])
-
-
 @dataclass(frozen=True)
 class Footprint:
     width: float
     length: float
-    template: np.ndarray = None  # (K, 2) local offsets within the w x l rectangle
 
     def __post_init__(self):
         if self.width <= 0 or self.length <= 0:
             raise ValueError("footprint dimensions must be positive")
-        tpl = self.template
-        if tpl is None:
-            tpl = _default_template(self.width, self.length)
-        tpl = np.asarray(tpl, dtype=float)
-        if np.any(np.abs(tpl[:, 0]) > self.length / 2 + 1e-12) or \
-           np.any(np.abs(tpl[:, 1]) > self.width / 2 + 1e-12):
-            raise ValueError("template points must lie within the footprint rectangle")
-        object.__setattr__(self, "template", tpl)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """(9, 2) local points: the corners, the edge midpoints and the center."""
+        hw, hl = self.width / 2.0, self.length / 2.0
+        return np.array([
+            [hl, hw], [hl, -hw], [-hl, hw], [-hl, -hw],  # corners
+            [hl, 0.0], [-hl, 0.0], [0.0, hw], [0.0, -hw],  # edge midpoints
+            [0.0, 0.0],  # center
+        ])
 
 
 @dataclass(frozen=True)
@@ -76,9 +69,6 @@ class RrtParams:
     goal_tol: float = 0.02
     goal_bias: float = 0.1
     max_iters: int = 5000
-    n_candidates: int = 3
-    m_neighbors: int = 5
-    rule: str = "any"  # "all" rejects most of a thin bar; see config.DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -100,15 +90,15 @@ class EdgePlanFailure:
 
 
 def segment_footprints(states: np.ndarray, fp: Footprint) -> np.ndarray:
-    """(N, K, 2) template offsets rotated and translated per (x, y, theta) row."""
+    """(N, 9, 2) footprint offsets rotated and translated per (x, y, theta) row."""
     cos, sin = np.cos(states[:, 2]), np.sin(states[:, 2])
     # contiguous per-row rotations: each row multiplies exactly as it would alone
     rot = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1).copy()
-    return fp.template @ rot.transpose(0, 2, 1) + states[:, None, :2]
+    return fp.offsets @ rot.transpose(0, 2, 1) + states[:, None, :2]
 
 
 def footprint_points(c: Config, fp: Footprint) -> np.ndarray:
-    """(K, 2) footprint points of one configuration."""
+    """(9, 2) footprint points of one configuration."""
     return segment_footprints(np.array([[c.x, c.y, c.theta]]), fp)[0]
 
 
@@ -162,20 +152,18 @@ def _interp_segment(a: np.ndarray, b: np.ndarray, spacing: float) -> np.ndarray:
     return seg
 
 
-def rrt_plan(start: Config, goal: Config, boundaries: list[Boundary],
-             fp: Footprint, params: RrtParams, seed: int = 0,
-             checker: PibcChecker | None = None) -> MotionPath:
-    """RRT in (x, y, theta) over PIBC-valid configurations.
+def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
+             params: RrtParams, seed: int = 0) -> MotionPath:
+    """RRT in (x, y, theta) over configurations that `checker` accepts.
 
     Extensions are capped at `step` in position and `theta_step` in
     angle; every extension is collision-checked at interpolated configs
     spaced <= step/2.  Success when a tree node falls within `goal_tol`
     of the goal position.  Deterministic per seed.  The tree is one
-    (x, y, theta) state array plus parent indices.
+    (x, y, theta) state array plus parent indices.  Raises StartInvalid
+    or GoalInvalid when an endpoint fails the check, NoPathFound after
+    `max_iters` iterations.
     """
-    if checker is None:
-        checker = PibcChecker(boundaries, params.n_candidates, params.m_neighbors,
-                              params.rule)
     if not checker.check(start, fp):
         raise StartInvalid(f"start configuration {start} fails PIBC")
     if not checker.check(goal, fp):
@@ -273,16 +261,16 @@ class RoutePlanResult:
         }
 
 
-def plan_route(route: RoutePlan, g, boundaries: list[Boundary], fp: Footprint,
+def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
                params: RrtParams, seed: int = 0) -> RoutePlanResult:
     """Plan one motion path per consecutive walk pair, chained end to start.
 
-    Edges whose planning fails are reported and skipped; the remaining
-    edges are still planned so the failure set plus the success set
-    always covers the route.
+    `g` gives the vertex positions; `checker` is the run's one PIBC
+    checker, used for the endpoints and by every `rrt_plan` call.  Edges
+    whose planning fails are reported and skipped; the remaining edges
+    are still planned so the failure set plus the success set always
+    covers the route.
     """
-    checker = PibcChecker(boundaries, params.n_candidates, params.m_neighbors,
-                          params.rule)
     pos = g.positions()
     paths: list[MotionPath] = []
     failures: list[EdgePlanFailure] = []
@@ -300,18 +288,17 @@ def plan_route(route: RoutePlan, g, boundaries: list[Boundary], fp: Footprint,
             prev_end = None
             continue
         path = None
-        error = None
         # a narrow corridor can stall RRT for an unlucky seed; retry with
         # derived seeds before reporting the edge as failed (deterministic)
         for attempt in range(3):
             try:
-                path = rrt_plan(start, goal, boundaries, fp, params,
-                                seed=seed + i + 9973 * attempt, checker=checker)
+                path = rrt_plan(start, goal, checker, fp, params,
+                                seed=seed + i + 9973 * attempt)
                 break
-            except (StartInvalid, GoalInvalid, NoPathFound) as exc:
-                error = exc
+            except NoPathFound:
+                pass
         if path is None:
-            failures.append(EdgePlanFailure((u, v), type(error).__name__))
+            failures.append(EdgePlanFailure((u, v), NoPathFound.__name__))
             prev_end = None
             continue
         paths.append(MotionPath(path.configs, (u, v)))

@@ -74,12 +74,6 @@ class Multigraph:
         return float(sum(w for _, _, w in self.edges))
 
 
-def _as_multigraph(g) -> Multigraph:
-    if isinstance(g, Multigraph):
-        return g
-    return Multigraph.from_structure_graph(g)
-
-
 @dataclass(frozen=True)
 class AugmentedGraph:
     base: Multigraph
@@ -117,14 +111,13 @@ class RoutePlan:
         }
 
 
-def dijkstra(g, src):
+def dijkstra(mg: Multigraph, src):
     """Shortest-path distances and predecessor map from `src`.
 
     Returns (dist, pred) where pred[v] = (previous vertex, edge index).
     Unreachable vertices get dist infinity.  Equal-length paths resolve
     to the smallest predecessor id.
     """
-    mg = _as_multigraph(g)
     if src not in set(mg.vertices):
         raise UnknownVertex(f"unknown vertex {src!r}")
     adj = mg.adjacency()
@@ -163,8 +156,7 @@ def _path_edges(pred, src, dst):
     return out
 
 
-def odd_vertices(g):
-    mg = _as_multigraph(g)
+def odd_vertices(mg: Multigraph):
     return {v for v, d in mg.degrees().items() if d % 2 == 1}
 
 
@@ -278,7 +270,7 @@ def _check_trail_input(mg: Multigraph, v_s, v_t):
     _check_connected(mg, (v_s, v_t))
 
 
-def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
+def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
     """Duplicate a minimum T-join so odd degrees sit exactly at {v_s} ^ {v_t}.
 
     T is odd(G) ^ {v_s} ^ {v_t} (odd(G) alone for a circuit, v_s == v_t).
@@ -289,7 +281,6 @@ def augment_for_open_trail(g, v_s, v_t) -> AugmentedGraph:
     _MATCHING_DP_LIMIT vertices of T (provenance "TJoin"); above that it
     is greedy with 2-opt swaps (provenance "TJoinGreedy").
     """
-    mg = _as_multigraph(g)
     _check_trail_input(mg, v_s, v_t)
 
     t = odd_vertices(mg) ^ {v_s} ^ {v_t}
@@ -356,13 +347,13 @@ def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     return RoutePlan(tuple(walk), tuple(visits), total, ag.provenance)
 
 
-def vocpp(g, v_s, v_t) -> RoutePlan:
+def vocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
     """Solve the variant open CPP: augment, then extract the Euler trail."""
-    ag = augment_for_open_trail(g, v_s, v_t)
+    ag = augment_for_open_trail(mg, v_s, v_t)
     return euler_trail(ag, v_s, v_t)
 
 
-def brute_force_ocpp(g, v_s, v_t) -> RoutePlan:
+def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
     """Exact open-CPP optimum by enumerating duplicated edge subsets.
 
     A minimum T-join never needs an edge twice, so the optimum is the
@@ -370,7 +361,6 @@ def brute_force_ocpp(g, v_s, v_t) -> RoutePlan:
     ^ {v_t}: adding D then leaves odd degrees exactly at the trail
     endpoints.  Exponential in |E|; refuses more than 14 edges.
     """
-    mg = _as_multigraph(g)
     if len(mg.edges) > 14:
         raise TooLarge(f"{len(mg.edges)} edges exceeds the brute-force limit of 14")
     _check_trail_input(mg, v_s, v_t)

@@ -44,14 +44,22 @@ class ClusterSet:
     points: np.ndarray  # (N, 2)
     labels: np.ndarray  # (N,) int in [0, n_c)
     n_c: int
-    means: np.ndarray  # (k, 2) component means
-    model: GmmModel | None = None
-    boundaries: list[Boundary] | None = None
-    borders: dict[tuple[int, int], Border] | None = None
-    neighbor_matrix: np.ndarray | None = None  # (k, k) bool, false diagonal
-    neighbor_counts: np.ndarray | None = None
+    model: GmmModel
+    boundaries: list[Boundary]
+    borders: dict[tuple[int, int], Border]
+    neighbor_matrix: np.ndarray  # (k, k) bool, false diagonal
     ratio_table: list[RatioRecord] = field(default_factory=list)
     seed: int | None = None
+
+    @property
+    def means(self) -> np.ndarray:
+        """(k, 2) component means."""
+        return self.model.means
+
+    @property
+    def neighbor_counts(self) -> np.ndarray:
+        """(k,) neighbors per cluster."""
+        return self.neighbor_matrix.sum(axis=1).astype(int)
 
     def cluster_points(self, i: int) -> np.ndarray:
         return self.points[self.labels == i]
@@ -247,31 +255,18 @@ def segment_structure(points: np.ndarray, n_cmin: int, n_cmax: int,
     if len(points) < n_cmax:
         raise TooFewPoints(f"need >= {n_cmax} points, got {len(points)}")
 
-    table = []
-    best = None  # (r, n_c, model, labels, boundaries, counts, matrix, borders)
+    table = []  # every candidate shares it, so the winner holds the whole sweep
+    best, best_r = None, None
     for n_c in range(n_cmin, n_cmax + 1):
         child_seed = seed * 1009 + n_c
         model = em_gmm_fit(points, n_c, seed=child_seed, max_iter=max_iter,
                            rel_tol=rel_tol, restarts=restarts)
         labels = assign_clusters(model, points)
         boundaries = _cluster_boundaries(points, labels, n_c, alpha_s)
-        n_m, n_s, counts, matrix, borders = neighbor_stats(boundaries, l_b, eps_border)
+        n_m, n_s, _, matrix, borders = neighbor_stats(boundaries, l_b, eps_border)
         r = cluster_ratio(n_m, n_s, n_c)
         table.append(RatioRecord(n_c, n_m, n_s, r))
-        if best is None or r > best[0]:
-            best = (r, n_c, model, labels, boundaries, counts, matrix, borders)
-
-    _, n_o, model, labels, boundaries, counts, matrix, borders = best
-    return ClusterSet(
-        points=points,
-        labels=labels,
-        n_c=n_o,
-        means=model.means,
-        model=model,
-        boundaries=boundaries,
-        borders=borders,
-        neighbor_matrix=matrix,
-        neighbor_counts=counts,
-        ratio_table=table,
-        seed=seed,
-    )
+        if best is None or r > best_r:
+            best, best_r = ClusterSet(points, labels, n_c, model, boundaries, borders,
+                                      matrix, table, seed), r
+    return best

@@ -12,7 +12,7 @@ import numpy as np
 
 from .boundary import Boundary, center_closest
 from .cloud import PointCloud, RigidTransform, transform_point
-from .errors import DegenerateFrame, EmptyBoundary, InconsistentInput
+from .errors import DegenerateFrame, EmptyBoundary
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,14 @@ class Mode(enum.Enum):
 @dataclass(frozen=True)
 class SwitchDecision:
     s_pa: bool
-    s_am: bool
     s_hc: bool
     mode: Mode
     pose: SurfacePose | None = None
+
+    @property
+    def s_am(self) -> bool:
+        """Area availability: a standing pose was found."""
+        return self.pose is not None
 
     def to_json(self):
         return {
@@ -103,8 +107,11 @@ class CandidateRectangle:
     anchor: np.ndarray
     corners: np.ndarray  # (4, 3)
     midpoints: np.ndarray  # (4, 3)
-    passed: bool
-    pose: SurfacePose | None
+    pose: SurfacePose | None  # present exactly when the area check passed
+
+    @property
+    def passed(self) -> bool:
+        return self.pose is not None
 
     def to_json(self):
         return {
@@ -152,15 +159,13 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
         corners = [c1, c2, c3, c4]
         mids = [(c1 + c2) / 2, (c3 + c4) / 2, (c1 + c3) / 2, (c2 + c4) / 2]
 
-        ok = bool(np.all(center_closest(np.array(corners + mids), b.points, centroid,
-                                        fp.m_neighbors, "all", fp.tolerance)))
         pose = None
-        if ok:
+        if np.all(center_closest(np.array(corners + mids), b.points, centroid,
+                                 fp.m_neighbors, "all", fp.tolerance)):
             r_c = np.mean(corners, axis=0)
             position = r_c - (fp.length / 4.0) * e_y  # foot-placement bias
             pose = SurfacePose(e_x, e_y, e_z, position)
-        out.append(CandidateRectangle(anchor, np.array(corners), np.array(mids),
-                                      ok, pose))
+        out.append(CandidateRectangle(anchor, np.array(corners), np.array(mids), pose))
     return out
 
 
@@ -180,14 +185,18 @@ def height_available(surface_centroid_cam: np.ndarray, t_cam_to_base: RigidTrans
     return abs(float(p[2]) - base_height) <= tol
 
 
-def switch_decision(s_pa: bool, s_am: bool, s_hc: bool,
-                    pose: SurfacePose | None = None) -> SwitchDecision:
-    if s_am != (pose is not None):
-        raise InconsistentInput("pose must be present exactly when s_am is true")
+def switch_decision(s_pa: bool, s_hc: bool,
+                    pose: SurfacePose | None) -> SwitchDecision:
+    """Mode from plane availability, height check and the standing pose.
+
+    S_am, area availability, is the pose's presence: mobile when all three
+    signals hold, inch-worm when only the height check fails, stop otherwise.
+    """
+    s_am = pose is not None
     if s_pa and s_am and s_hc:
         mode = Mode.MOBILE
     elif s_pa and s_am and not s_hc:
         mode = Mode.INCHWORM
     else:
         mode = Mode.STOP
-    return SwitchDecision(s_pa, s_am, s_hc, mode, pose)
+    return SwitchDecision(s_pa, s_hc, mode, pose)

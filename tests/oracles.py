@@ -319,10 +319,10 @@ class Pose:
 
 
 def footprint_points(c, fp):
-    """Template offsets of `fp` rotated by c.theta and translated to (c.x, c.y)."""
+    """Offsets of `fp` rotated by c.theta and translated to (c.x, c.y)."""
     cos, sin = math.cos(c.theta), math.sin(c.theta)
     rot = np.array([[cos, -sin], [sin, cos]])
-    return fp.template @ rot.T + c.xy
+    return fp.offsets @ rot.T + c.xy
 
 
 def interp_configs(a, b, spacing):

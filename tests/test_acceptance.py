@@ -272,7 +272,7 @@ class TestCriterion8AreaPose:
         s_hc = height_available(np.array([0.0, 0.0, -0.07]),
                                 RigidTransform.identity(),
                                 base_height=0.0, tol=0.01)
-        decision = switch_decision(True, pose is not None, s_hc, pose)
+        decision = switch_decision(True, s_hc, pose)
         ok &= not s_hc and decision.mode is Mode.INCHWORM
         report(8, "area check yields an orthonormal pose, rejects the small "
                   "plane, and a 7cm offset at 1cm tolerance selects "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,12 +343,30 @@ def test_disconnected_structure_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_transform_is_one_error_line(tmp_path, capsys):
+    # the translation pushes the point at x = 1e308 past the float range
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0,0,0\n1,0,0\n0,1,0\n1e308,1,0\n2,2,0\n3,1,0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"transform": {"translation": [1e308, 0.0, 0.0]}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("navigate", "--input", str(cloud), "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: points must be finite"
+    assert not out.exists()
+
+
 def test_pipeline_loads_no_scipy(tmp_path):
     # SciPy is a test dependency only; the installed program must not need it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"planner": {"max_iters": 0}}))
     code = f"""
 import sys
+import warnings
 from steelnav import cli
 tmp, cfg = {str(tmp_path)!r}, {str(cfg)!r}
 assert cli.main(["synth", "--shape", "i", "--density", "1000", "--out", tmp + "/i"]) == 0

@@ -141,9 +141,11 @@ class TestBuildGraph:
             assert e.u != e.v
 
     def test_missing_neighbor_data_rejected(self):
-        from steelnav import ClusterSet
-        cs = ClusterSet(points=np.zeros((4, 2)),
-                        labels=np.zeros(4, dtype=int), n_c=1,
-                        means=np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            build_graph(cs, d_min=0.05)
+        # boundaries, borders and the neighbor matrix are required fields,
+        # so a ClusterSet without them never reaches build_graph
+        from steelnav import ClusterSet, GmmModel
+        model = GmmModel(k=1, weights=np.ones(1), means=np.zeros((1, 2)),
+                         covariances=np.eye(2)[None], log_likelihood=0.0)
+        with pytest.raises(TypeError, match="neighbor_matrix"):
+            ClusterSet(points=np.zeros((4, 2)),
+                       labels=np.zeros(4, dtype=int), n_c=1, model=model)

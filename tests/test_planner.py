@@ -82,11 +82,6 @@ class TestFootprintPoints:
         db = np.linalg.norm(b[:, None] - b[None, :], axis=2)
         np.testing.assert_allclose(da, db, atol=1e-12)
 
-    def test_template_outside_rectangle_rejected(self):
-        with pytest.raises(ValueError):
-            Footprint(width=0.1, length=0.2,
-                      template=np.array([[0.5, 0.0]]))
-
 
 class TestPibc:
     def test_center_config_valid(self):
@@ -121,7 +116,7 @@ class TestPibc:
 
 
 class TestRrtPlan:
-    PARAMS = RrtParams(step=0.02, goal_tol=0.01, rule="any")
+    PARAMS = RrtParams(step=0.02, goal_tol=0.01)
     FP = Footprint(width=0.1, length=0.12)
 
     def test_corridor_ten_seeds(self):
@@ -131,8 +126,7 @@ class TestRrtPlan:
         goal = Config(0.4, 0.0, 0.0)
         straight = 0.8
         for seed in range(10):
-            path = rrt_plan(start, goal, [b], self.FP, self.PARAMS,
-                            seed=seed, checker=checker)
+            path = rrt_plan(start, goal, checker, self.FP, self.PARAMS, seed=seed)
             xy = np.array([[c.x, c.y] for c in path.configs])
             length = float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
             assert length <= 2 * straight
@@ -144,23 +138,26 @@ class TestRrtPlan:
     def test_start_equals_goal(self):
         b, _ = corridor_boundary()
         c = Config(0, 0, 0)
-        path = rrt_plan(c, c, [b], self.FP, self.PARAMS, seed=0)
+        path = rrt_plan(c, c, PibcChecker([b], rule="any"), self.FP, self.PARAMS, seed=0)
         assert path.configs == (c,)
 
     def test_invalid_endpoints(self):
         b, _ = corridor_boundary()
         inside = Config(0, 0, 0)
         outside = Config(0.0, 1.0, 0.0)
+        checker = PibcChecker([b], rule="any")
         with pytest.raises(StartInvalid):
-            rrt_plan(outside, inside, [b], self.FP, self.PARAMS, seed=0)
+            rrt_plan(outside, inside, checker, self.FP, self.PARAMS, seed=0)
         with pytest.raises(GoalInvalid):
-            rrt_plan(inside, outside, [b], self.FP, self.PARAMS, seed=0)
+            rrt_plan(inside, outside, checker, self.FP, self.PARAMS, seed=0)
 
     def test_deterministic(self):
         b, _ = corridor_boundary()
         start, goal = Config(-0.3, 0, 0), Config(0.3, 0, 0)
-        a = rrt_plan(start, goal, [b], self.FP, self.PARAMS, seed=4)
-        c = rrt_plan(start, goal, [b], self.FP, self.PARAMS, seed=4)
+        a = rrt_plan(start, goal, PibcChecker([b], rule="any"), self.FP, self.PARAMS,
+                     seed=4)
+        c = rrt_plan(start, goal, PibcChecker([b], rule="any"), self.FP, self.PARAMS,
+                     seed=4)
         assert a.configs == c.configs
 
     def test_unreachable_times_out(self):
@@ -169,11 +166,10 @@ class TestRrtPlan:
         rng = np.random.default_rng(1)
         far = rng.uniform([2.0, -0.07], [3.0, 0.07], (2000, 2))
         b2 = ncbe(far, 0.02)
-        params = RrtParams(step=0.02, goal_tol=0.01, rule="any",
-                           max_iters=300)
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
         with pytest.raises(NoPathFound):
-            rrt_plan(Config(0, 0, 0), Config(2.5, 0, 0), [b1, b2],
-                     self.FP, params, seed=0)
+            rrt_plan(Config(0, 0, 0), Config(2.5, 0, 0),
+                     PibcChecker([b1, b2], rule="any"), self.FP, params, seed=0)
 
 
 class TestAgainstReference:
@@ -197,14 +193,13 @@ class TestAgainstReference:
         boundaries = [ncbe(xy[truth.labels == i], alpha)
                       for i in range(len(truth.rects))]
         params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
-        checker = PibcChecker(boundaries, params.n_candidates,
-                              params.m_neighbors, params.rule)
+        checker = PibcChecker(boundaries, n_candidates=3, m=5, rule="any")
         start, goal = (-0.2, 0.0, 0.0), (0.0, 0.1, math.pi / 2)
         outcomes = []
         for seed in range(20):
             try:
-                path = rrt_plan(Config(*start), Config(*goal), boundaries, self.FP,
-                                params, seed=seed, checker=checker)
+                path = rrt_plan(Config(*start), Config(*goal), checker, self.FP,
+                                params, seed=seed)
                 got = [(c.x, c.y, c.theta) for c in path.configs]
             except NoPathFound as exc:
                 got = str(exc)
@@ -260,8 +255,8 @@ class TestPlanRoute:
         mg = Multigraph.build([0, 1], [(0, 1, 1.0)])
         route = vocpp(mg, 0, 1)
         fp = Footprint(width=0.1, length=0.12)
-        params = RrtParams(step=0.02, goal_tol=0.01, rule="any")
-        result = plan_route(route, g, [b], fp, params, seed=0)
+        params = RrtParams(step=0.02, goal_tol=0.01)
+        result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)
         assert result.all_succeeded
         assert [p.edge_ref for p in result.paths] == [(0, 1)]
         # chained: nothing to chain with one edge, but the path must end
@@ -277,9 +272,8 @@ class TestPlanRoute:
         mg = Multigraph.build([0, 1, 2], [(0, 1, 1.0), (1, 2, 5.0)])
         route = vocpp(mg, 0, 2)
         fp = Footprint(width=0.1, length=0.12)
-        params = RrtParams(step=0.02, goal_tol=0.01, rule="any",
-                           max_iters=500)
-        result = plan_route(route, g, [b], fp, params, seed=0)
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=500)
+        result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)
         assert not result.all_succeeded
         failed_edges = {f.edge for f in result.failures}
         assert (1, 2) in failed_edges

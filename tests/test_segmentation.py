@@ -294,6 +294,23 @@ class TestNeighborStats:
 
 
 class TestSegmentStructure:
+    def test_derived_fields(self):
+        # means and neighbor counts are read from the model and the
+        # neighbor matrix, not stored beside them
+        from steelnav import ClusterSet, GmmModel
+        means = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        model = GmmModel(k=3, weights=np.full(3, 1 / 3), means=means,
+                         covariances=np.repeat(np.eye(2)[None], 3, axis=0),
+                         log_likelihood=0.0)
+        matrix = np.array([[False, True, False],
+                           [True, False, True],
+                           [False, True, False]])
+        cs = ClusterSet(points=means, labels=np.arange(3), n_c=3, model=model,
+                        boundaries=[], borders={}, neighbor_matrix=matrix)
+        assert cs.means is model.means
+        np.testing.assert_array_equal(cs.neighbor_counts, [1, 2, 1])
+        assert cs.to_json()["means"] == means.tolist()
+
     def test_cross_selects_five(self):
         spec = StructureSpec(Shape.CROSS, density=5000, noise_sigma=0.005,
                              seed=0)

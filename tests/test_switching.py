@@ -18,7 +18,7 @@ from steelnav import (
     switch_decision,
 )
 from steelnav.switching import area_check_candidates
-from steelnav.errors import EmptyBoundary, InconsistentInput
+from steelnav.errors import EmptyBoundary
 
 PAPER_FOOT = FootParams(width=0.2, length=0.3, tolerance=0.02,
                         n_anchors=5, m_neighbors=3)
@@ -162,15 +162,20 @@ class TestSwitchDecision:
         }
         for s_pa, s_am, s_hc in itertools.product([False, True], repeat=3):
             pose = unit_pose() if s_am else None
-            d = switch_decision(s_pa, s_am, s_hc, pose)
+            d = switch_decision(s_pa, s_hc, pose)
             assert d.mode is expected.get((s_pa, s_am, s_hc), Mode.STOP)
             assert (d.pose is not None) == s_am
+            assert d.s_am == s_am
 
     def test_pose_consistency_enforced(self):
-        with pytest.raises(InconsistentInput):
+        # S_am is read from the pose, so the two cannot disagree: a call
+        # that passes S_am next to the pose is refused, and the JSON
+        # follows the pose
+        with pytest.raises(TypeError):
             switch_decision(True, True, True, None)
-        with pytest.raises(InconsistentInput):
-            switch_decision(True, False, True, unit_pose())
+        for pose in (None, unit_pose()):
+            d = switch_decision(True, True, pose)
+            assert d.to_json()["s_am"] == (pose is not None)
 
     def test_non_orthonormal_pose_rejected(self):
         with pytest.raises(ValueError):
