@@ -280,8 +280,7 @@ def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
 
 
 def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
-                   m: int, rule: str = "all", tol: float = 0.0,
-                   center_dist: np.ndarray | None = None) -> np.ndarray:
+                   m: int, rule: str = "all", tol: float = 0.0) -> np.ndarray:
     """Center-closest-points membership test, one verdict per point.
 
     A point r is inside when its center distance d_r beats the center
@@ -291,9 +290,7 @@ def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
     from r the lower index is nearer, as in a stable argsort.
 
     points (P, d); boundary (L, d) shared by all points, or (P, L, d) with
-    NaN rows as padding; center (d,) or (P, d).  `center_dist`, shaped like
-    `boundary` without its last axis, holds the boundary points' center
-    distances when the caller has them already.
+    NaN rows as padding; center (d,) or (P, d).
     """
     if rule not in ("all", "any"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -305,25 +302,36 @@ def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
     q = q[None] if q.ndim == 2 else q
     if q.shape[1] == 0:
         raise EmptyBoundary("boundary has no points")
-    d_r = _dist(r, c)
-    d_q = _dist(q, c[:, None, :]) if center_dist is None else center_dist
-    d_rq = _dist(q, r[:, None, :])  # NaN on padding, which compares False
-    # the m nearest by (distance, index): all within the m-th distance,
-    # less the last of those tied with it when there are too many
-    k = min(m, d_rq.shape[1])
-    kth = np.partition(d_rq, k - 1, axis=1)[:, k - 1:k]  # NaN sorts last
-    kth[np.isnan(kth)] = np.inf  # fewer than m real points: take them all
+    return _m_nearest_verdict(_dist(r, c), _dist(q, c[:, None, :]),
+                              _dist(q, r[:, None, :]), m, rule, tol)
+
+
+def _m_nearest_verdict(d_r: np.ndarray, d_q: np.ndarray, d_rq: np.ndarray,
+                       m: int, rule: str, tol: float = 0.0) -> np.ndarray:
+    """The center-closest verdict along the last axis, after the distances.
+
+    d_rq (..., L) holds each point's distances to the boundary points, NaN
+    on padding; d_q, shaped like d_rq, the boundary points' center
+    distances; d_r (...) the points' own.  The m nearest are taken by
+    (distance, index): all within the m-th distance, less the last of
+    those tied with it when there are too many.
+    """
+    k = min(m, d_rq.shape[-1])
+    # a full sort beats np.partition on rows this short, and it shows ties
+    srt = np.sort(d_rq, axis=-1)  # NaN sorts last
+    kth = srt[..., k - 1:k]
+    np.fmin(kth, np.inf, out=kth)  # fewer than m real points (NaN): take them all
     chosen = d_rq <= kth
-    excess = np.count_nonzero(chosen, axis=1, keepdims=True) - k
-    if np.any(excess > 0):
+    if k < d_rq.shape[-1] and (srt[..., k:k + 1] == kth).any():
+        excess = np.count_nonzero(chosen, axis=-1, keepdims=True) - k
         tied = d_rq == kth
-        keep = np.count_nonzero(tied, axis=1, keepdims=True) - excess
-        chosen &= ~tied | (np.cumsum(tied, axis=1) <= keep)
+        keep = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
+        chosen &= ~tied | (np.cumsum(tied, axis=-1) <= keep)
     # the verdict is monotone in d_q: "all" needs the smallest, "any" the largest
     if rule == "all":
-        d_q = np.where(chosen, d_q, np.inf).min(axis=1)
+        d_q = d_q.min(axis=-1, where=chosen, initial=np.inf)
     else:
-        d_q = np.where(chosen, d_q, -np.inf).max(axis=1)
+        d_q = d_q.max(axis=-1, where=chosen, initial=-np.inf)
     inside = d_r < d_q
     if tol > 0:
         with np.errstate(divide="ignore", invalid="ignore"):

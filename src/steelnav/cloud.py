@@ -24,6 +24,12 @@ from .errors import (
 )
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# The largest coordinate magnitude a cloud may hold.  The highest power of a
+# coordinate the pipeline forms is 4: RANSAC's squared norm of the cross
+# product of two coordinate differences.  At 1e75 a difference is at most
+# 2e75, a cross-product entry 8e150 and that squared norm 3 * 6.4e301, all
+# finite.
+MAX_COORD = 1e75
 
 
 class Frame(enum.Enum):
@@ -43,8 +49,9 @@ class PointCloud:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidPoints("points must have shape (N, 3)")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidPoints("points must be finite")
+        if not np.all(np.abs(pts) <= MAX_COORD):  # NaN compares False
+            raise InvalidPoints(f"points must be finite and at most {MAX_COORD:g} "
+                                f"in magnitude")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -13,17 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, _dist, center_closest
+from .boundary import Boundary, _dist, _m_nearest_verdict
 from .errors import EmptyBoundaries, GoalInvalid, NoPathFound, StartInvalid
 from .route import RoutePlan
 
 THETA_METRIC_WEIGHT = 0.3  # m/rad inside the nearest-neighbor metric
 
 
-def _wrap_angle(a):
-    """Normalize a scalar or an array of angles to (-pi, pi]."""
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    """Normalize an array of angles to (-pi, pi]."""
     a = np.fmod(a + math.pi, 2.0 * math.pi)
     return a + 2.0 * math.pi * (a <= 0) - math.pi
+
+
+def _wrap(a: float) -> float:
+    """_wrap_angle of one float, with the same roundings (math.fmod is C fmod)."""
+    a = math.fmod(a + math.pi, 2.0 * math.pi)
+    return (a + 2.0 * math.pi if a <= 0 else a) - math.pi
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ class Config:
     def __post_init__(self):
         if not all(np.isfinite([self.x, self.y, self.theta])):
             raise ValueError("configuration must be finite")
-        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
+        object.__setattr__(self, "theta", _wrap(self.theta))
 
     @property
     def xy(self) -> np.ndarray:
@@ -103,7 +109,12 @@ def footprint_points(c: Config, fp: Footprint) -> np.ndarray:
 
 
 class PibcChecker:
-    """Vectorized point-inside-boundary checks with per-boundary caches."""
+    """Vectorized point-inside-boundary checks with per-boundary caches.
+
+    `check` keeps each verdict per (Config, Footprint): it is a
+    deterministic function of the two, and a route step's endpoints are
+    checked again on every RRT attempt.
+    """
 
     def __init__(self, boundaries: list[Boundary], n_candidates: int = 3,
                  m: int = 5, rule: str = "all"):
@@ -112,44 +123,85 @@ class PibcChecker:
             raise EmptyBoundaries("no non-empty boundaries")
         if rule not in ("all", "any"):
             raise ValueError(f"unknown rule {rule!r}")
+        if m < 1:
+            raise ValueError("m must be >= 1")
         self.boundaries = boundaries
         self.n_candidates = min(n_candidates, len(boundaries))
         self.m = m
         self.rule = rule
         self.centers = np.array([b.center[:2] for b in boundaries])
-        # 2D boundary points, NaN-padded to one (clusters, max length, 2) array
-        self._pts = np.full((len(boundaries), max(map(len, boundaries)), 2), np.nan)
+        # 2D boundary points per cluster as planar x and y arrays, NaN-padded
+        # to (clusters, max length)
+        self._bx, self._by = np.full((2, len(boundaries), max(map(len, boundaries))), np.nan)
         for j, b in enumerate(boundaries):
-            self._pts[j, :len(b)] = b.points[:, :2]
-        self._center_dist = _dist(self._pts, self.centers[:, None, :])  # NaN on padding
+            self._bx[j, :len(b)], self._by[j, :len(b)] = b.points[:, :2].T
+        self._center_dist = _dist(np.stack([self._bx, self._by], axis=-1),
+                                  self.centers[:, None, :])  # NaN on padding
         all_pts = np.vstack([b.points[:, :2] for b in boundaries])
         self.bbox_lo = all_pts.min(axis=0)
         self.bbox_hi = all_pts.max(axis=0)
+        self._verdicts = {}
 
     def points_inside(self, points: np.ndarray) -> np.ndarray:
-        """Per-point validity against the n_candidates nearest clusters."""
-        points = np.atleast_2d(points)
-        d_centers = np.linalg.norm(points[:, None, :] - self.centers[None, :, :],
-                                   axis=2)
-        cand = np.argsort(d_centers, axis=1, kind="stable")[:, :self.n_candidates]
-        cand_flat = cand.ravel()
-        ok = center_closest(np.repeat(points, cand.shape[1], axis=0),
-                            self._pts[cand_flat], self.centers[cand_flat],
-                            self.m, self.rule, center_dist=self._center_dist[cand_flat])
-        return ok.reshape(cand.shape).any(axis=1)
+        """Per-point validity of (P, 2) points against the n_candidates nearest clusters."""
+        px, py = points[:, 0, None], points[:, 1, None]
+        dx = px - self.centers[:, 0]
+        dy = py - self.centers[:, 1]
+        d_c = np.sqrt(dx * dx + dy * dy)  # (P, clusters), as np.linalg.norm sums it
+        cand = d_c.argsort(axis=1, kind="stable")[:, :self.n_candidates]
+        # (P, n_candidates, max length) point-to-boundary distances, in place
+        qx = self._bx.take(cand, axis=0)
+        qy = self._by.take(cand, axis=0)
+        qx -= px[:, :, None]
+        qy -= py[:, :, None]
+        qx *= qx
+        qy *= qy
+        qx += qy
+        d_rq = np.sqrt(qx, out=qx)
+        d_r = np.sort(d_c, axis=1)[:, :self.n_candidates]  # d_c at cand
+        ok = _m_nearest_verdict(d_r, self._center_dist.take(cand, axis=0), d_rq,
+                                self.m, self.rule)
+        return ok.any(axis=1)
 
     def check(self, c: Config, fp: Footprint) -> bool:
-        return bool(np.all(self.points_inside(footprint_points(c, fp))))
+        key = (c, fp)
+        if key not in self._verdicts:
+            self._verdicts[key] = bool(np.all(self.points_inside(footprint_points(c, fp))))
+        return self._verdicts[key]
 
 
-def _interp_segment(a: np.ndarray, b: np.ndarray, spacing: float) -> np.ndarray:
-    """States from a (exclusive) to b (inclusive) at <= spacing apart, as rows."""
-    n = max(int(math.ceil(float(np.linalg.norm(b[:2] - a[:2])) / spacing)), 1)
-    delta = b - a
-    delta[2] = _wrap_angle(delta[2])
-    seg = a + delta * (np.arange(1, n + 1)[:, None] / n)
-    seg[:, 2] = _wrap_angle(seg[:, 2])
-    return seg
+def _interp_segment(a, b, spacing: float) -> np.ndarray:
+    """States from a (exclusive) to b (inclusive) at <= spacing apart, as rows.
+
+    a and b are (x, y, theta) triples; each row is a + t * (b - a) with the
+    angle difference wrapped, and its angle wrapped again.
+    """
+    ax, ay, ath = a
+    dx, dy = b[0] - ax, b[1] - ay
+    d = np.array((dx, dy))
+    n = max(int(math.ceil(math.sqrt(d @ d) / spacing)), 1)  # np.linalg.norm's sum
+    dth = _wrap(b[2] - ath)
+    return np.array([(ax + dx * t, ay + dy * t, _wrap(ath + dth * t))
+                     for t in (i / n for i in range(1, n + 1))])
+
+
+def _samples(seed: int, n: int, goal_bias: float, lo: np.ndarray, hi: np.ndarray):
+    """n RRT samples: None for the goal, else (x, y, theta) in [lo, hi) x [-pi, pi).
+
+    The random numbers are one block of `Generator.random` doubles, walked
+    in order: one for the goal test, three more for a free sample, turned
+    into x, y and theta with `Generator.uniform`'s arithmetic,
+    low + (high - low) * u.  So the samples are those of one `random` and
+    two `uniform` calls each, bit for bit.
+    """
+    draws = iter(np.random.default_rng(seed).random(4 * n).tolist())
+    (lo_x, lo_y), (span_x, span_y) = lo.tolist(), (hi - lo).tolist()
+    for _ in range(n):
+        if next(draws) < goal_bias:
+            yield None
+        else:
+            yield (lo_x + span_x * next(draws), lo_y + span_y * next(draws),
+                   -math.pi + 2.0 * math.pi * next(draws))
 
 
 def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
@@ -163,6 +215,10 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
     (x, y, theta) state array plus parent indices.  Raises StartInvalid
     or GoalInvalid when an endpoint fails the check, NoPathFound after
     `max_iters` iterations.
+
+    A goal sample whose nearest node already failed to extend toward the
+    goal is skipped: the extension would be the same segment, and it would
+    fail again.
     """
     if not checker.check(start, fp):
         raise StartInvalid(f"start configuration {start} fails PIBC")
@@ -172,45 +228,48 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
     if start == goal:
         return MotionPath((start,), edge_ref=())
 
-    rng = np.random.default_rng(seed)
     margin = max(fp.width, fp.length)
-    lo = checker.bbox_lo - margin
-    hi = checker.bbox_hi + margin
-    target = np.array([goal.x, goal.y, goal.theta])
+    samples = _samples(seed, params.max_iters, params.goal_bias,
+                       checker.bbox_lo - margin, checker.bbox_hi + margin)
+    step, theta_step = params.step, params.theta_step
 
     parents = [-1]
     states = np.empty((params.max_iters + 1, 3))
     states[0] = start.x, start.y, start.theta
+    v = np.empty(2)  # each 2-norm is sqrt(v @ v), the sum np.linalg.norm takes
+    goal_failed = set()  # nodes whose extension toward the goal failed
 
-    for _ in range(params.max_iters):
-        if rng.random() < params.goal_bias:
-            sample = target
-        else:
-            xy = rng.uniform(lo, hi)
-            sample = np.array([xy[0], xy[1], rng.uniform(-math.pi, math.pi)])
+    for sample in samples:
+        to_goal = sample is None
+        sx, sy, sth = (goal.x, goal.y, goal.theta) if to_goal else sample
 
         tree = states[:len(parents)]
-        d_xy = np.hypot(tree[:, 0] - sample[0], tree[:, 1] - sample[1])
-        d_th = np.abs(_wrap_angle(tree[:, 2] - sample[2]))
+        d_xy = np.hypot(tree[:, 0] - sx, tree[:, 1] - sy)
+        d_th = np.abs(_wrap_angle(tree[:, 2] - sth))
         ni = int(np.argmin(np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)))
-        near = states[ni]
-        delta = sample[:2] - near[:2]
-        dist = float(np.linalg.norm(delta))
-        if dist > params.step:
-            delta = delta * (params.step / dist)
-        dtheta = _wrap_angle(sample[2] - near[2])
-        dtheta = max(-params.theta_step, min(params.theta_step, dtheta))
-        new = np.array([near[0] + delta[0], near[1] + delta[1],
-                        _wrap_angle(near[2] + dtheta)])
+        if to_goal and ni in goal_failed:
+            continue
+        nx, ny, nth = states[ni].tolist()
+        dx, dy = sx - nx, sy - ny
+        v[0], v[1] = dx, dy
+        dist = math.sqrt(v @ v)
+        if dist > step:
+            scale = step / dist
+            dx, dy = dx * scale, dy * scale
+        dth = max(-theta_step, min(theta_step, _wrap(sth - nth)))
+        new = (nx + dx, ny + dy, _wrap(nth + dth))
 
-        segment = _interp_segment(near, new, params.step / 2.0)
+        segment = _interp_segment((nx, ny, nth), new, step / 2.0)
         if not checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all():
+            if to_goal:
+                goal_failed.add(ni)
             continue
 
         states[len(parents)] = new
         parents.append(ni)
 
-        if np.linalg.norm(new[:2] - target[:2]) <= params.goal_tol:
+        v[0], v[1] = new[0] - goal.x, new[1] - goal.y
+        if math.sqrt(v @ v) <= params.goal_tol:
             path = []
             i = len(parents) - 1
             while i >= 0:

@@ -458,17 +458,27 @@ class TestCenterClosestOracle:
                 oracles.center_closest(p, boundary, center, 4, rule)
 
     @pytest.mark.parametrize("rule", ["all", "any"])
-    def test_padded_boundaries(self, rule):
-        # boundaries of different lengths share one NaN-padded array
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_padded_boundaries(self, rule, m):
+        # boundaries of different lengths share one NaN-padded array; the
+        # 4-point one has fewer than m = 6 points, and at m = 1 the index
+        # order of tied points decides some verdicts
         rng = np.random.default_rng(13)
         bs = [Boundary(rng.uniform(x0, x0 + 1, (n, 2)), [x0 + 0.5, 0.5], 0.1)
               for x0, n in ((0.0, 30), (0.8, 4), (1.6, 55), (2.4, 12))]
-        checker = PibcChecker(bs, n_candidates=2, m=6, rule=rule)
-        probes = rng.uniform([-0.2, -0.2], [3.6, 1.2], (300, 2))
+        # a lattice boundary with repeated points: distances tie exactly
+        bs.append(Boundary(shuffled_lattice(rng, np.arange(3.2, 4.3, 0.25),
+                                            np.arange(0.0, 1.1, 0.25)), [3.7, 0.5], 0.1))
+        checker = PibcChecker(bs, n_candidates=2, m=m, rule=rule)
+        pts = [b.points for b in bs]
+        pairs = [p[rng.integers(0, len(p), (2, 40))] for p in pts]
+        probes = np.vstack([rng.uniform([-0.2, -0.2], [4.4, 1.2], (300, 2)),
+                            *pts,  # probes at boundary points
+                            *[(a + b) / 2 for a, b in pairs]])  # and at pair midpoints
         want = []
         for p in probes:
             near = np.argsort(np.linalg.norm(checker.centers - p, axis=1), kind="stable")
-            want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, 6, rule)
+            want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, m, rule)
                             for j in near[:2]))
         assert checker.points_inside(probes).tolist() == want
 

@@ -344,9 +344,9 @@ def test_disconnected_structure_is_one_error_line(tmp_path, capsys):
 
 
 def test_overflowing_transform_is_one_error_line(tmp_path, capsys):
-    # the translation pushes the point at x = 1e308 past the float range
+    # the translation pushes every point past the coordinate bound
     cloud = tmp_path / "cloud.csv"
-    cloud.write_text("0,0,0\n1,0,0\n0,1,0\n1e308,1,0\n2,2,0\n3,1,0\n")
+    cloud.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n2,2,0\n3,1,0\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"transform": {"translation": [1e308, 0.0, 0.0]}}))
     out = tmp_path / "out"
@@ -356,7 +356,46 @@ def test_overflowing_transform_is_one_error_line(tmp_path, capsys):
                    "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0] == "error: points must be finite"
+    assert len(err) == 1 and err[0] == "error: " + HUGE_MESSAGE
+    assert not out.exists()
+
+
+HUGE_MESSAGE = "points must be finite and at most 1e+75 in magnitude"
+
+
+def synth_with_huge_x(tmp_path, x, *synth_args):
+    """A synth cloud whose first point's x is replaced by `x`."""
+    assert run("synth", "--out", str(tmp_path / "scene"), "--seed", "1", *synth_args) == 0
+    cloud = tmp_path / "scene" / "cloud.csv"
+    first, rest = cloud.read_text().split("\n", 1)
+    cloud.write_text(f"{x!r},{first.split(',', 1)[1]}\n{rest}")
+    return cloud
+
+
+def five_rows_two_huge(tmp_path):
+    cloud = tmp_path / "five.csv"
+    cloud.write_text("1,2,0\n3,4,0\n1e200,0,0\n0,1e200,0\n5,5,0\n")
+    return cloud
+
+
+@pytest.mark.parametrize("command,scene", [
+    # k-means++ seeding would square x: its probabilities would be NaN
+    ("navigate", lambda p: synth_with_huge_x(p, 1e306, "--shape", "i", "--density", "300")),
+    # RANSAC's cross product would overflow: its normal would not be a unit vector
+    ("switching", five_rows_two_huge),
+    # one far point would make the plate collinear: a silent `stop`, exit 0
+    ("switching", lambda p: synth_with_huge_x(p, 1e200, "--shape", "i", "--bar-width", "0.5",
+                                              "--density", "3000", "--noise", "0.002")),
+])
+def test_huge_coordinate_is_one_error_line(command, scene, tmp_path, capsys):
+    cloud = scene(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--input", str(cloud), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: " + HUGE_MESSAGE]
     assert not out.exists()
 
 

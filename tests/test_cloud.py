@@ -16,9 +16,11 @@ from steelnav import (
     transform_point,
     voxel_downsample,
 )
+from steelnav.cloud import MAX_COORD
 from steelnav.errors import (
     DegenerateCloud,
     InvalidLeaf,
+    InvalidPoints,
     InvalidRange,
     ParseError,
     WrongFrame,
@@ -29,6 +31,27 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+class TestCoordinateBound:
+    def test_bound_is_inclusive(self):
+        assert len(PointCloud(np.array([[MAX_COORD, -MAX_COORD, 0.0]]))) == 1
+        for v in (math.nextafter(MAX_COORD, math.inf), -math.inf, math.nan):
+            with pytest.raises(InvalidPoints, match=r"finite and at most 1e\+75"):
+                PointCloud(np.array([[0.0, v, 0.0]]))
+
+    def test_ransac_finite_at_the_bound(self):
+        # the bound's degree-4 form: the squared norm of a cross product of
+        # differences as large as 2 * MAX_COORD
+        rng = np.random.default_rng(0)
+        pts = np.vstack([[[-MAX_COORD, -MAX_COORD, 0.0], [MAX_COORD, -MAX_COORD, 0.0],
+                          [-MAX_COORD, MAX_COORD, 0.0], [MAX_COORD, MAX_COORD, 0.0]],
+                         np.column_stack([rng.uniform(-MAX_COORD, MAX_COORD, (20, 2)),
+                                          np.zeros(20)])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = extract_plane_ransac(PointCloud(pts), dist_thresh=1.0, max_iters=50)
+        assert plane.normal.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestLoadCloud:
@@ -174,7 +197,7 @@ class TestVoxelDownsample:
 
     @pytest.mark.parametrize("coord,leaf", [
         (0.5, 1e-300),  # finite quotient far beyond int64
-        (1e300, 1e-10),  # the quotient overflows to inf
+        (1e75, 1e-300),  # the quotient overflows to inf
         (2.0 ** 63, 1.0),
         (-(2.0 ** 63), 1.0),
     ])

@@ -25,6 +25,9 @@ from steelnav.errors import (
 from steelnav.planner import (
     PibcChecker,
     _interp_segment,
+    _samples,
+    _wrap,
+    _wrap_angle,
     footprint_points,
     plan_route,
     segment_footprints,
@@ -234,6 +237,80 @@ class TestAgainstReference:
                                   np.array([b.x, b.y, b.theta]), 0.01)
             assert np.array_equal(seg, [[c.x, c.y, c.theta] for c in ref])
             assert np.array_equal(segment_footprints(seg, self.FP), want)
+
+
+class TestFloatKernels:
+    """The planner's float arithmetic against the NumPy calls it replaces, bit for bit."""
+
+    def test_wrap_matches_array_wrap(self):
+        odd = [k * math.pi for k in range(-41, 42, 2)]
+        special = np.array([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                            1e6, -1e6, *odd])
+        rng = np.random.default_rng(5)
+        angles = np.concatenate([
+            special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf),
+            rng.uniform(-7.0, 7.0, 100_000), rng.normal(0.0, 1e3, 100_000 - 3 * len(special))])
+        assert len(angles) == 200_000
+        got = np.array([_wrap(a) for a in angles.tolist()])
+        assert got.tobytes() == _wrap_angle(angles).tobytes()
+
+    def test_two_norm_matches_linalg_norm(self):
+        rng = np.random.default_rng(6)
+        vs = rng.standard_normal((20_000, 2)) * 10.0 ** rng.integers(-8, 9, (20_000, 1))
+        assert [math.sqrt(v @ v) for v in vs] == [float(np.linalg.norm(v)) for v in vs]
+
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.1, 1.0])
+    def test_sample_block_matches_per_call_draws(self, goal_bias):
+        lo, hi = np.array([-0.71, -0.33]), np.array([1.93, 0.8])
+
+        def bits(sample):
+            return None if sample is None else [float(v).hex() for v in sample]
+
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(300):
+                if rng.random() < goal_bias:
+                    want.append(None)
+                else:
+                    xy = rng.uniform(lo, hi)
+                    want.append(bits([xy[0], xy[1], rng.uniform(-math.pi, math.pi)]))
+            assert [bits(s) for s in _samples(seed, 300, goal_bias, lo, hi)] == want
+
+
+class CountingChecker(PibcChecker):
+    calls = 0
+
+    def points_inside(self, points):
+        self.calls += 1
+        return super().points_inside(points)
+
+
+class TestMemos:
+    FP = Footprint(width=0.04, length=0.05)
+
+    def test_check_keeps_its_verdict(self):
+        b, _ = corridor_boundary()
+        checker = CountingChecker([b], rule="any")
+        inside, outside = Config(0, 0, 0), Config(0.0, 0.5, 0.0)
+        assert [checker.check(c, self.FP) for c in (inside, outside) * 3] == [True, False] * 3
+        assert checker.calls == 2
+        assert not checker.check(inside, Footprint(width=0.4, length=0.5))
+        assert checker.calls == 3
+
+    def test_goal_memo_skips_repeated_failures(self):
+        # the unreachable goal draws a goal sample about every tenth
+        # iteration; after the first failure from a node, the next goal
+        # samples nearest that node make no check
+        b1, _ = corridor_boundary(seed=0)
+        rng = np.random.default_rng(1)
+        b2 = ncbe(rng.uniform([2.0, -0.07], [3.0, 0.07], (2000, 2)), 0.02)
+        checker = CountingChecker([b1, b2], rule="any")
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
+        with pytest.raises(NoPathFound):
+            rrt_plan(Config(0, 0, 0), Config(2.5, 0, 0), checker, self.FP, params, seed=0)
+        goal_samples = sum(s is None for s in _samples(0, 300, 0.1, np.zeros(2), np.ones(2)))
+        assert 2 + 300 - goal_samples < checker.calls < 2 + 300
 
 
 class FakeGraph:
