@@ -29,7 +29,7 @@ from .cloud import (
     voxel_downsample,
 )
 from .errors import SteelNavError
-from .graph import StructureGraph, Vertex, VertexKind, build_graph, fit_principal_line
+from .graph import StructureGraph, VertexKind, build_graph, fit_principal_line
 from .planner import (
     Config,
     Footprint,
@@ -67,7 +67,7 @@ __all__ = [
     "load_cloud", "passthrough_filter", "project_to_2d", "transform_cloud",
     "transform_point", "voxel_downsample",
     "SteelNavError",
-    "StructureGraph", "Vertex", "VertexKind", "build_graph", "fit_principal_line",
+    "StructureGraph", "VertexKind", "build_graph", "fit_principal_line",
     "Config", "Footprint", "MotionPath", "RrtParams", "plan_route", "rrt_plan",
     "Multigraph", "RoutePlan", "brute_force_ocpp", "dijkstra", "euler_trail",
     "min_weight_pairing", "vocpp",

@@ -289,21 +289,20 @@ def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
     d_r > 0 and (d_r - d_q) / d_r < tol.  Of boundary points equally far
     from r the lower index is nearer, as in a stable argsort.
 
-    points (P, d); boundary (L, d) shared by all points, or (P, L, d) with
-    NaN rows as padding; center (d,) or (P, d).
+    points (P, d) or (d,); boundary (L, d); center (d,).
     """
     if rule not in ("all", "any"):
         raise ValueError(f"unknown rule {rule!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     r = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.broadcast_to(np.asarray(center, dtype=float), r.shape)
+    c = np.asarray(center, dtype=float)
     q = np.asarray(boundary, dtype=float)
-    q = q[None] if q.ndim == 2 else q
-    if q.shape[1] == 0:
+    if len(q) == 0:
         raise EmptyBoundary("boundary has no points")
-    return _m_nearest_verdict(_dist(r, c), _dist(q, c[:, None, :]),
-                              _dist(q, r[:, None, :]), m, rule, tol)
+    d_rq = _dist(q, r[:, None, :])
+    return _m_nearest_verdict(_dist(r, c), np.broadcast_to(_dist(q, c), d_rq.shape),
+                              d_rq, m, rule, tol)
 
 
 def _m_nearest_verdict(d_r: np.ndarray, d_q: np.ndarray, d_rq: np.ndarray,

@@ -153,9 +153,9 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     v_s = cfg["route"]["v_s"]
     v_t = cfg["route"]["v_t"]
     if v_t is None:
-        v_t = max(g.vertex_ids())
+        v_t = max(g.vertices)
     try:
-        route = rt.vocpp(rt.Multigraph.from_structure_graph(g), v_s, v_t)
+        route = rt.vocpp(g, v_s, v_t)
     except DisconnectedEndpoints as exc:
         raise DisconnectedEndpoints(
             f"structure graph has {g.component_count} components: {exc}") from None

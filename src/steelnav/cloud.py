@@ -261,13 +261,6 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(sums / counts[:, None], cloud.frame)
 
 
-def _is_collinear(pts: np.ndarray, tol: float = 1e-12) -> bool:
-    d = pts - pts.mean(axis=0)
-    # rank <= 1 means all points lie on one line (or coincide)
-    s = np.linalg.svd(d, compute_uv=False)
-    return s.size < 2 or s[1] <= tol * max(s[0], 1.0)
-
-
 def extract_plane_ransac(
     cloud: PointCloud,
     dist_thresh: float,
@@ -277,22 +270,26 @@ def extract_plane_ransac(
 ) -> PlanePatch:
     """RANSAC plane fit maximizing the inlier count over `max_iters` samples.
 
-    Deterministic given `rng_seed`.  Raises DegenerateCloud for fewer than
-    3 points or a collinear cloud, NoPlane when the best inlier fraction
+    Deterministic given `rng_seed`.  A sample is degenerate when its two
+    spans a, b have |a x b| <= 1e-12 |a| |b|, a test relative to the sample
+    alone, so no far point elsewhere in the cloud sways it.  Raises
+    DegenerateCloud for fewer than 3 points or when every sample is
+    degenerate (a collinear cloud), NoPlane when the best inlier fraction
     falls below `min_inlier_fraction`.
     """
     pts = cloud.points
     n = len(pts)
-    if n < 3 or _is_collinear(pts):
+    if n < 3:
         raise DegenerateCloud(f"need >= 3 non-collinear points, got {n}")
     rng = np.random.default_rng(rng_seed)
     best_count = -1
     best = None  # (normal, offset)
     for _ in range(max_iters):
         i, j, k = rng.choice(n, size=3, replace=False)
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        a, b = pts[j] - pts[i], pts[k] - pts[i]
+        normal = np.cross(a, b)
         norm = np.linalg.norm(normal)
-        if norm < 1e-12:
+        if norm <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b):
             continue
         normal = normal / norm
         offset = float(normal @ pts[i])
@@ -300,6 +297,8 @@ def extract_plane_ransac(
         if count > best_count:
             best_count = count
             best = (normal, offset)
+    if best is None and max_iters > 0:
+        raise DegenerateCloud(f"all {max_iters} samples of {n} points are collinear")
     if best is None or best_count < min_inlier_fraction * n:
         raise NoPlane(f"best inlier fraction {max(best_count, 0) / n:.3f} "
                       f"below {min_inlier_fraction}")

@@ -7,12 +7,13 @@ straight segments weighted by Euclidean length.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCluster, EmptyBoundary
-from .route import connected_components
+from .route import Multigraph, connected_components
 from .segmentation import ClusterSet
 
 
@@ -23,41 +24,27 @@ class VertexKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: int
-    pos: np.ndarray  # (2,)
-    kind: VertexKind
+class StructureGraph(Multigraph):
+    """The route's multigraph over ids 0..n-1, with each vertex's place and kind.
 
+    `edges` are (u, v, w) tuples, a multiset with no self-loops;
+    `positions[v]` is vertex v's (2,) position and `kinds[v]` its kind.
+    """
 
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    weight: float
+    positions: tuple
+    kinds: tuple
 
-
-@dataclass
-class StructureGraph:
-    vertices: list[Vertex]
-    edges: list[Edge]  # multiset; parallel edges allowed, no self-loops
-    component_count: int = 1
-
-    def positions(self) -> dict[int, np.ndarray]:
-        return {v.id: v.pos for v in self.vertices}
-
-    def vertex_ids(self) -> list[int]:
-        return [v.id for v in self.vertices]
-
-    def degree(self, vid: int) -> int:
-        return sum((e.u == vid) + (e.v == vid) for e in self.edges)
+    @functools.cached_property
+    def component_count(self) -> int:
+        return len(connected_components(self.vertices, (e[:2] for e in self.edges)))
 
     def to_json(self):
         return {
             "vertices": [
-                {"id": v.id, "kind": v.kind.value, "pos": [float(c) for c in v.pos]}
-                for v in self.vertices
+                {"id": v, "kind": k.value, "pos": [float(c) for c in p]}
+                for v, p, k in zip(self.vertices, self.positions, self.kinds)
             ],
-            "edges": [{"u": e.u, "v": e.v, "w": float(e.weight)} for e in self.edges],
+            "edges": [{"u": u, "v": v, "w": float(w)} for u, v, w in self.edges],
             "component_count": self.component_count,
         }
 
@@ -111,28 +98,30 @@ def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
     order.  Bar-end candidates closer than d_min to any existing vertex
     are suppressed (a stub shorter than the robot is not traversable).
     """
-    vertices: list[Vertex] = []
-    edges: list[Edge] = []
+    positions: list[np.ndarray] = []
+    kinds: list[VertexKind] = []
+    edges: list[tuple] = []
     center_id: dict[int, int] = {}
+
+    def add_vertex(pos, kind) -> int:
+        positions.append(pos)
+        kinds.append(kind)
+        return len(positions) - 1
 
     for i in range(cs.n_c):
         if len(cs.boundaries[i]) == 0:
             continue  # empty cluster contributes nothing
-        vid = len(vertices)
-        center_id[i] = vid
-        vertices.append(Vertex(vid, cs.boundaries[i].center[:2], VertexKind.CENTER))
+        center_id[i] = add_vertex(cs.boundaries[i].center[:2], VertexKind.CENTER)
 
     for (i, j), border in sorted(cs.borders.items()):
         if not cs.neighbor_matrix[i, j] or border.midpoint is None:
             continue
         if i not in center_id or j not in center_id:
             continue
-        mid_id = len(vertices)
         mid_pos = border.midpoint[:2]
-        vertices.append(Vertex(mid_id, mid_pos, VertexKind.BORDER_MID))
+        mid_id = add_vertex(mid_pos, VertexKind.BORDER_MID)
         for c in (center_id[i], center_id[j]):
-            w = float(np.linalg.norm(vertices[c].pos - mid_pos))
-            edges.append(Edge(c, mid_id, w))
+            edges.append((c, mid_id, float(np.linalg.norm(positions[c] - mid_pos))))
 
     for i in range(cs.n_c):
         if i not in center_id:
@@ -145,13 +134,14 @@ def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
         except DegenerateCluster:
             continue
         for end in line_boundary_intersections(line, cs.boundaries[i]):
-            dists = [np.linalg.norm(v.pos - end) for v in vertices]
+            dists = [np.linalg.norm(p - end) for p in positions]
             if dists and min(dists) <= d_min:
                 continue
-            vid = len(vertices)
-            vertices.append(Vertex(vid, end.copy(), VertexKind.BAR_END))
-            w = float(np.linalg.norm(vertices[center_id[i]].pos - end))
-            edges.append(Edge(center_id[i], vid, w))
+            c = center_id[i]
+            vid = add_vertex(end.copy(), VertexKind.BAR_END)
+            edges.append((c, vid, float(np.linalg.norm(positions[c] - end))))
 
-    components = connected_components(range(len(vertices)), ((e.u, e.v) for e in edges))
-    return StructureGraph(vertices, edges, len(components))
+    # every edge joins a new vertex to a center, with a finite length under
+    # the coordinate bound, so Multigraph.build's edge checks would all pass
+    return StructureGraph(tuple(range(len(positions))), tuple(edges),
+                          tuple(positions), tuple(kinds))

@@ -117,7 +117,7 @@ class PibcChecker:
     """
 
     def __init__(self, boundaries: list[Boundary], n_candidates: int = 3,
-                 m: int = 5, rule: str = "all"):
+                 m: int = 5, rule: str = "any"):
         boundaries = [b for b in boundaries if len(b) > 0]
         if not boundaries:
             raise EmptyBoundaries("no non-empty boundaries")
@@ -324,13 +324,13 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
                params: RrtParams, seed: int = 0) -> RoutePlanResult:
     """Plan one motion path per consecutive walk pair, chained end to start.
 
-    `g` gives the vertex positions; `checker` is the run's one PIBC
-    checker, used for the endpoints and by every `rrt_plan` call.  Edges
-    whose planning fails are reported and skipped; the remaining edges
-    are still planned so the failure set plus the success set always
-    covers the route.
+    `g` is the structure graph: `g.positions[v]` places walk vertex v.
+    `checker` is the run's one PIBC checker, used for the endpoints and
+    by every `rrt_plan` call.  Edges whose planning fails are reported
+    and skipped; the remaining edges are still planned so the failure set
+    plus the success set always covers the route.
     """
-    pos = g.positions()
+    pos = g.positions
     paths: list[MotionPath] = []
     failures: list[EdgePlanFailure] = []
     prev_end: Config | None = None

@@ -52,10 +52,6 @@ class Multigraph:
             norm.append((u, v, float(w)))
         return cls(vertices, tuple(norm))
 
-    @classmethod
-    def from_structure_graph(cls, g) -> "Multigraph":
-        return cls.build(g.vertex_ids(), [(e.u, e.v, e.weight) for e in g.edges])
-
     def adjacency(self):
         adj = {v: [] for v in self.vertices}
         for idx, (u, v, w) in enumerate(self.edges):
@@ -86,13 +82,10 @@ class AugmentedGraph:
         out.extend(self.duplicated)
         return out
 
-    def multigraph(self) -> Multigraph:
-        """Base edges and duplicates as one multigraph."""
-        return Multigraph(self.base.vertices,
-                          tuple((u, v, w) for u, v, w, _ in self.combined_edges()))
-
     def odd_set(self):
-        return odd_vertices(self.multigraph())
+        """Odd-degree vertices of the base edges and duplicates together."""
+        return odd_vertices(Multigraph(
+            self.base.vertices, tuple(e[:3] for e in self.combined_edges())))
 
 
 @dataclass(frozen=True)
@@ -291,25 +284,21 @@ def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
                        for i in _path_edges(sp[a][1], a, b))
     provenance = "TJoin" if len(t) <= _MATCHING_DP_LIMIT else "TJoinGreedy"
 
-    ag = AugmentedGraph(mg, duplicated, provenance)
-    expected = {v_s} ^ {v_t}
-    if ag.odd_set() != expected:
-        raise ParityViolation(
-            f"augmentation left odd set {ag.odd_set()} (expected {expected})")
-    return ag
+    return AugmentedGraph(mg, duplicated, provenance)
 
 
 def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     """Extract the trail over the augmented edge multiset (Hierholzer).
 
     Each augmented edge is used exactly once; the walk starts at v_s and
-    ends at v_t (a circuit when they coincide).
+    ends at v_t (a circuit when they coincide).  A walk that misses an edge
+    or ends elsewhere, as on a disconnected edge multiset, raises
+    ParityViolation.
     """
     mg = ag.base
     combined = ag.combined_edges()
     if ag.odd_set() != {v_s} ^ {v_t}:
         raise ParityViolation("odd-degree set does not match the trail endpoints")
-    _check_connected(ag.multigraph(), (v_s, v_t))
 
     adj = {v: [] for v in mg.vertices}
     for eid, (u, v, w, base_idx) in enumerate(combined):

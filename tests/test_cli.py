@@ -399,6 +399,24 @@ def test_huge_coordinate_is_one_error_line(command, scene, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", [6.053847750727365e13, 1e14, 1e20])
+def test_far_plate_point_is_one_error_line(x, tmp_path, capsys):
+    # one far point below the coordinate bound once made the plate count as
+    # collinear: a silent `stop`, exit 0.  RANSAC now fits the plate with the
+    # far point as an inlier, and no alpha_s can resolve that span.
+    cloud = synth_with_huge_x(tmp_path, x, "--shape", "i", "--bar-width", "0.5",
+                              "--density", "3000", "--noise", "0.002")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("switching", "--input", str(cloud), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: alpha_s ")
+    assert "is too small for coordinates" in err[0]
+    assert not out.exists()
+
+
 def test_pipeline_loads_no_scipy(tmp_path):
     # SciPy is a test dependency only; the installed program must not need it
     cfg = tmp_path / "cfg.json"

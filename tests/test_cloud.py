@@ -245,6 +245,22 @@ class TestRansac:
         with pytest.raises(DegenerateCloud):
             extract_plane_ransac(PointCloud(pts), 0.01)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_collinear_degenerate_at_any_scale(self, scale):
+        # every sample of a collinear cloud is degenerate relative to its
+        # own spans, whatever the cloud's size
+        pts = scale * (np.outer(np.linspace(0, 1, 50), [1.0, 2.0, 3.0]) + [0.3, -0.7, 0.1])
+        with pytest.raises(DegenerateCloud):
+            extract_plane_ransac(PointCloud(pts), 0.01 * scale)
+
+    def test_far_in_plane_point_is_an_inlier(self):
+        rng = np.random.default_rng(3)
+        plate = np.column_stack([rng.uniform(0, 1, (300, 2)), np.zeros(300)])
+        plate[0, 0] = 1e14
+        patch = extract_plane_ransac(PointCloud(plate), 0.01, rng_seed=0)
+        assert len(patch.inliers) == 300
+        np.testing.assert_allclose(np.abs(patch.normal), [0, 0, 1], atol=1e-9)
+
     def test_seed_reproducible(self):
         rng = np.random.default_rng(2)
         c = PointCloud(np.column_stack([rng.uniform(0, 1, (200, 2)),

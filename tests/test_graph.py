@@ -90,7 +90,7 @@ class TestBuildGraph:
         assert len(g.vertices) == 7
         assert len(g.edges) == 6
         assert g.component_count == 1
-        degrees = sorted(g.degree(v.id) for v in g.vertices)
+        degrees = sorted(g.degrees().values())
         # a path on 7 vertices: two ends of degree 1, five of degree 2
         assert degrees == [1, 1, 2, 2, 2, 2, 2]
 
@@ -99,46 +99,48 @@ class TestBuildGraph:
                                 n_cmin=3, n_cmax=8)
         g = build_graph(cs, d_min=0.1)
         assert g.component_count == 1
-        kinds = [v.kind for v in g.vertices]
+        kinds = list(g.kinds)
         assert kinds.count(VertexKind.CENTER) == 5
         assert kinds.count(VertexKind.BORDER_MID) == 4
         assert kinds.count(VertexKind.BAR_END) == 4  # far ends of the arms
-        centers = [v for v in g.vertices if v.kind is VertexKind.CENTER]
-        hub = max(centers, key=lambda v: g.degree(v.id))
-        assert g.degree(hub.id) == 4
+        degrees = g.degrees()
+        centers = [v for v in g.vertices if g.kinds[v] is VertexKind.CENTER]
+        hub = max(centers, key=lambda v: degrees[v])
+        assert degrees[hub] == 4
 
     def test_vertex_kind_degrees(self):
         cs, _ = segmented_shape(Shape.L, seed=2)
         g = build_graph(cs, d_min=0.1)
+        degrees = g.degrees()
         for v in g.vertices:
-            if v.kind is VertexKind.BORDER_MID:
-                assert g.degree(v.id) == 2
-            elif v.kind is VertexKind.BAR_END:
-                assert g.degree(v.id) == 1
+            if g.kinds[v] is VertexKind.BORDER_MID:
+                assert degrees[v] == 2
+            elif g.kinds[v] is VertexKind.BAR_END:
+                assert degrees[v] == 1
 
     def test_large_dmin_suppresses_bar_ends(self):
         cs, _ = segmented_shape(Shape.L, seed=1)
         g = build_graph(cs, d_min=10.0)
-        assert all(v.kind is not VertexKind.BAR_END for v in g.vertices)
+        assert all(g.kinds[v] is not VertexKind.BAR_END for v in g.vertices)
 
     def test_ids_stable_and_contiguous(self):
         cs, _ = segmented_shape(Shape.L, seed=3)
         g = build_graph(cs, d_min=0.1)
-        assert [v.id for v in g.vertices] == list(range(len(g.vertices)))
+        assert list(g.vertices) == list(range(len(g.vertices)))
         g2 = build_graph(cs, d_min=0.1)
-        assert [(v.id, v.kind) for v in g.vertices] == \
-            [(v.id, v.kind) for v in g2.vertices]
-        for a, b in zip(g.vertices, g2.vertices):
-            np.testing.assert_array_equal(a.pos, b.pos)
+        assert [(v, g.kinds[v]) for v in g.vertices] == \
+            [(v, g2.kinds[v]) for v in g2.vertices]
+        for a, b in zip(g.positions, g2.positions):
+            np.testing.assert_array_equal(a, b)
 
     def test_edge_weights_are_segment_lengths(self):
         cs, _ = segmented_shape(Shape.L, seed=1)
         g = build_graph(cs, d_min=0.1)
-        pos = g.positions()
-        for e in g.edges:
-            assert e.weight == pytest.approx(
-                float(np.linalg.norm(pos[e.u] - pos[e.v])))
-            assert e.u != e.v
+        pos = g.positions
+        for u, v, w in g.edges:
+            assert w == pytest.approx(
+                float(np.linalg.norm(pos[u] - pos[v])))
+            assert u != v
 
     def test_missing_neighbor_data_rejected(self):
         # boundaries, borders and the neighbor matrix are required fields,

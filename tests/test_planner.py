@@ -6,10 +6,11 @@ import pytest
 from steelnav import (
     Config,
     Footprint,
-    Multigraph,
     RrtParams,
     Shape,
+    StructureGraph,
     StructureSpec,
+    VertexKind,
     generate,
     ncbe,
     rrt_plan,
@@ -313,24 +314,18 @@ class TestMemos:
         assert 2 + 300 - goal_samples < checker.calls < 2 + 300
 
 
-class FakeGraph:
-    def __init__(self, pos, edges):
-        self._pos = {k: np.asarray(v, dtype=float) for k, v in pos.items()}
-        self.edge_list = edges
-
-    def positions(self):
-        return self._pos
-
-    def vertex_ids(self):
-        return list(self._pos)
+def structure_graph(positions, edges):
+    """A StructureGraph over ids 0..n-1 at `positions`, every vertex a bar end."""
+    return StructureGraph(tuple(range(len(positions))), tuple(edges),
+                          tuple(np.asarray(p, dtype=float) for p in positions),
+                          (VertexKind.BAR_END,) * len(positions))
 
 
 class TestPlanRoute:
     def test_single_bar_route(self):
         b, _ = corridor_boundary(length=1.0, width=0.14)
-        g = FakeGraph({0: [-0.5, 0.0], 1: [0.5, 0.0]}, [(0, 1, 1.0)])
-        mg = Multigraph.build([0, 1], [(0, 1, 1.0)])
-        route = vocpp(mg, 0, 1)
+        g = structure_graph([[-0.5, 0.0], [0.5, 0.0]], [(0, 1, 1.0)])
+        route = vocpp(g, 0, 1)
         fp = Footprint(width=0.1, length=0.12)
         params = RrtParams(step=0.02, goal_tol=0.01)
         result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)
@@ -344,10 +339,9 @@ class TestPlanRoute:
         # vertex 2 sits far outside every boundary: its edge must fail
         # while the real edge still gets planned
         b, _ = corridor_boundary(length=1.0, width=0.14)
-        g = FakeGraph({0: [-0.5, 0.0], 1: [0.5, 0.0], 2: [0.5, 5.0]},
-                      [(0, 1, 1.0), (1, 2, 5.0)])
-        mg = Multigraph.build([0, 1, 2], [(0, 1, 1.0), (1, 2, 5.0)])
-        route = vocpp(mg, 0, 2)
+        g = structure_graph([[-0.5, 0.0], [0.5, 0.0], [0.5, 5.0]],
+                            [(0, 1, 1.0), (1, 2, 5.0)])
+        route = vocpp(g, 0, 2)
         fp = Footprint(width=0.1, length=0.12)
         params = RrtParams(step=0.02, goal_tol=0.01, max_iters=500)
         result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)

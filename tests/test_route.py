@@ -15,10 +15,11 @@ from steelnav.errors import (
     DisconnectedEndpoints,
     EmptyGraph,
     OddCardinality,
+    ParityViolation,
     TooLarge,
     UnknownVertex,
 )
-from steelnav.route import augment_for_open_trail, odd_vertices
+from steelnav.route import AugmentedGraph, augment_for_open_trail, odd_vertices
 
 from oracles import (
     bellman_ford,
@@ -192,6 +193,14 @@ class TestEulerTrail:
         a = vocpp(g, vertices[0], vertices[-1])
         b = vocpp(g, vertices[0], vertices[-1])
         assert a.walk == b.walk
+
+    def test_disconnected_edge_multiset(self):
+        # two disjoint triangles: every degree is even, so the parity test
+        # passes, but no walk from A can use the second triangle's edges
+        g = Multigraph.build("ABCDEF", [("A", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0),
+                                        ("D", "E", 1.0), ("E", "F", 1.0), ("F", "D", 1.0)])
+        with pytest.raises(ParityViolation):
+            euler_trail(AugmentedGraph(g, (), "TJoin"), "A", "A")
 
 
 class TestVocpp:
