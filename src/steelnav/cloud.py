@@ -261,6 +261,14 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(sums / counts[:, None], cloud.frame)
 
 
+def _cross(a, b):
+    """a × b for two 3-vectors: np.cross's formula and rounding in scalar
+    arithmetic, without its per-call array overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def extract_plane_ransac(
     cloud: PointCloud,
     dist_thresh: float,
@@ -287,7 +295,7 @@ def extract_plane_ransac(
     for _ in range(max_iters):
         i, j, k = rng.choice(n, size=3, replace=False)
         a, b = pts[j] - pts[i], pts[k] - pts[i]
-        normal = np.cross(a, b)
+        normal = _cross(a, b)
         norm = np.linalg.norm(normal)
         if norm <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b):
             continue

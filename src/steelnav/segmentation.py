@@ -89,75 +89,125 @@ def _kmeanspp_means(points, k, rng):
     return means
 
 
-def _log_gaussians(points, means, covariances):
-    """(N, k) log-densities, all components at once.
+def _offsets(points, means, dx=None, dy=None):
+    """(k, N) offsets of the points from each mean, one array per coordinate."""
+    return (np.subtract(points[:, 0], means[:, :1], out=dx),
+            np.subtract(points[:, 1], means[:, 1:], out=dy))
 
-    For a 2×2 covariance [[a, b], [b, c]] with det = ac - b², the
-    Mahalanobis form is (c·dx² - 2b·dx·dy + a·dy²) / det (Bishop 2006, §9.2).
-    The result is the transpose of a component-major (k, N) array, so
-    reductions over the k components run along contiguous memory.
+
+def _covariances(a, b, c):
+    """(k, 2, 2) covariances [[a, b], [b, c]] from their (k,) entries."""
+    covariances = np.empty((len(a), 2, 2))
+    covariances[:, 0, 0] = a
+    covariances[:, 0, 1] = covariances[:, 1, 0] = b
+    covariances[:, 1, 1] = c
+    return covariances
+
+
+def _log_gaussians(dx, dy, a, b, c, out=None, tmp=None):
+    """(k, N) log-densities, all components at once.
+
+    dx and dy are the offsets from `_offsets`; a, b, c are the (k,) entries
+    of each covariance [[a, b], [b, c]].  With det = ac - b², the Mahalanobis
+    form is (c·dx² - 2b·dx·dy + a·dy²) / det (Bishop 2006, §9.2).  Each step
+    writes into `out` or `tmp` in the order the expression is written, so
+    every float rounds as in it.  Component-major (k, N) arrays keep each
+    reduction over a component's points on contiguous memory.
     """
-    a, b, c = covariances[:, 0, 0], covariances[:, 0, 1], covariances[:, 1, 1]
     det = a * c - b * b
     # an infinite or NaN entry makes det infinite or NaN too
     bad = ~((a > 0) & (det > 0) & np.isfinite(det))
     if bad.any():
         raise SingularCovariance(f"component {int(np.argmax(bad))} covariance not SPD")
-    dx = points[:, 0] - means[:, :1]  # (k, N)
-    dy = points[:, 1] - means[:, 1:]
-    maha = (c[:, None] * dx * dx - 2.0 * b[:, None] * dx * dy
-            + a[:, None] * dy * dy) / det[:, None]
-    return (-0.5 * (maha + np.log(det)[:, None] + 2.0 * np.log(2.0 * np.pi))).T
+    out = np.multiply(c[:, None], dx, out=out)
+    out *= dx
+    tmp = np.multiply((2.0 * b)[:, None], dx, out=tmp)
+    tmp *= dy
+    out -= tmp
+    np.multiply(a[:, None], dy, out=tmp)
+    tmp *= dy
+    out += tmp
+    out /= det[:, None]
+    out += np.log(det)[:, None]
+    out += 2.0 * np.log(2.0 * np.pi)
+    out *= -0.5
+    return out
 
 
-def _logsumexp_rows(a):
-    """Row-wise log(sum(exp(a))), by SciPy's formula: the m terms equal to
-    the row maximum are taken out, log1p(s / m) + log(m) + max."""
-    a_max = a.max(axis=1, keepdims=True)
-    rest = a != a_max
-    m = a.shape[1] - np.count_nonzero(rest, axis=1, keepdims=True)
-    shifted = np.subtract(a, a_max, out=np.full_like(a, -np.inf), where=rest)
-    s = np.exp(shifted).sum(axis=1, keepdims=True)
-    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+def _logsumexp_components(log_prob, buf, top):
+    """Per point, log(sum(exp(.))) over the k components of (k, N) `log_prob`.
+
+    SciPy's formula: the m terms equal to the column maximum are taken out,
+    log1p(s / m) + log(m) + max.  `buf` and the bool `top` are overwritten.
+    """
+    a_max = log_prob.max(axis=0)
+    np.equal(log_prob, a_max, out=top)
+    # only a maximum minus itself can be invalid (inf - inf); it is zeroed
+    with np.errstate(invalid="ignore"):
+        np.subtract(log_prob, a_max, out=buf)
+    np.exp(buf, out=buf)
+    np.putmask(buf, top, 0.0)
+    s = buf.sum(axis=0)
+    if np.count_nonzero(top) == log_prob.shape[1]:
+        # One maximum per column (a NaN column has none, but a NaN makes
+        # every M-step output NaN under either formula).  With m = 1,
+        # log1p(s / 1) + log(1) is log1p(s) bit for bit.
+        log_norm = np.log1p(s, out=s)
+        log_norm += a_max
+        return log_norm
+    m = np.count_nonzero(top, axis=0)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
-def _m_step(points, resp, floor):
-    """Weights, means and floored covariances from (N, k) responsibilities."""
-    resp = resp.T  # (k, N); contiguous for responsibilities of _log_gaussians
-    k, n = resp.shape
+def _m_step(points, resp, floor, dx, dy, tmp):
+    """Weights, means and floored covariance entries a, b, c from (k, N)
+    responsibilities.  The new means' offsets go into dx and dy; `resp` and
+    `tmp` are overwritten."""
+    n = resp.shape[1]
     nk = resp.sum(axis=1)
     nk_safe = np.maximum(nk, 1e-300)
     means = (resp @ points) / nk_safe[:, None]
-    dx = points[:, 0] - means[:, :1]
-    dy = points[:, 1] - means[:, 1:]
-    rdx = resp * dx
-    covariances = np.empty((k, 2, 2))
-    covariances[:, 0, 0] = (rdx * dx).sum(axis=1) / nk_safe + floor
-    covariances[:, 0, 1] = covariances[:, 1, 0] = (rdx * dy).sum(axis=1) / nk_safe
-    covariances[:, 1, 1] = (resp * dy * dy).sum(axis=1) / nk_safe + floor
-    return nk / n, means, covariances
+    _offsets(points, means, dx, dy)
+    # sums of resp·dx·dx, resp·dx·dy and resp·dy·dy, multiplied left to right
+    rdx = np.multiply(resp, dx, out=tmp)
+    resp *= dy
+    resp *= dy
+    c = resp.sum(axis=1) / nk_safe + floor
+    a = np.multiply(rdx, dx, out=resp).sum(axis=1) / nk_safe + floor
+    rdx *= dy
+    b = rdx.sum(axis=1) / nk_safe
+    return nk / n, means, a, b, c
 
 
 def _em_once(points, k, rng, max_iter, rel_tol, floor):
     means = _kmeanspp_means(points, k, rng)
     weights = np.full(k, 1.0 / k)
     iso = max(float(np.var(points, axis=0).mean()), floor)
-    covariances = np.tile(np.eye(2) * iso, (k, 1, 1))
+    a, b, c = np.full(k, iso), np.zeros(k), np.full(k, iso)
+    # (k, N) buffers for the whole fit.  The M-step leaves the new means'
+    # offsets in dx, dy for the next E-step; log_prob turns into the
+    # responsibilities in place.
+    dx, dy = _offsets(points, means)
+    log_prob, tmp = np.empty_like(dx), np.empty_like(dx)
+    top = np.empty(dx.shape, dtype=bool)
 
     history = []
     prev_ll = -np.inf
     for _ in range(max_iter):
-        log_prob = _log_gaussians(points, means, covariances) + np.log(weights)
-        log_norm = _logsumexp_rows(log_prob)
+        _log_gaussians(dx, dy, a, b, c, log_prob, tmp)
+        log_prob += np.log(weights)[:, None]
+        log_norm = _logsumexp_components(log_prob, tmp, top)
         ll = float(log_norm.sum())
         history.append(ll)
-        weights, means, covariances = _m_step(
-            points, np.exp(log_prob - log_norm[:, None]), floor)
+        log_prob -= log_norm
+        weights, means, a, b, c = _m_step(
+            points, np.exp(log_prob, out=log_prob), floor, dx, dy, tmp)
 
         if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
+    return GmmModel(k, weights, means, _covariances(a, b, c), history[-1],
+                    tuple(history))
 
 
 def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
@@ -191,9 +241,11 @@ def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
 def assign_clusters(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """Hard labels by maximum posterior; ties break to the lowest index."""
     points = np.asarray(points, dtype=float)
-    log_prob = _log_gaussians(points, model.means, model.covariances) \
-        + np.log(np.maximum(model.weights, 1e-300))
-    return np.argmax(log_prob, axis=1)
+    cov = model.covariances
+    log_prob = _log_gaussians(*_offsets(points, model.means),
+                              cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
+    log_prob += np.log(np.maximum(model.weights, 1e-300))[:, None]
+    return np.argmax(log_prob, axis=0)
 
 
 def _cluster_boundaries(points, labels, n_c, alpha_s):

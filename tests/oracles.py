@@ -4,11 +4,14 @@ Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
 point-in-polygon, rectangle-union containment, a from-scratch adjusted
 Rand index, an all-pairs farthest pair, per-window slicing boundary
 points, a per-point center-closest test, per-component Cholesky
-Gaussian log-densities and EM M-steps, SciPy k-d tree nearest
-neighbors and cluster borders, and an RRT planner that keeps one
-configuration object per tree node.  None of these share code with the
-package under test; the reference planner takes the package's
-containment checker as its validity test.
+Gaussian log-densities and EM M-steps and a whole EM fit built from them,
+SciPy k-d tree nearest neighbors and cluster borders, and an RRT planner
+that keeps one configuration object per tree node.  None of these share
+code with the package under test; the reference planner takes the
+package's containment checker as its validity test, and the EM fits take
+its k-means++ seeding.  The EM iteration that allocates a temporary per
+step is kept verbatim as the bit-exact rounding reference for the
+package's in-place kernel.
 """
 import itertools
 import math
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import logsumexp
 
-from steelnav.errors import GoalInvalid, NoPathFound, StartInvalid
+from steelnav.errors import GoalInvalid, NoPathFound, SingularCovariance, StartInvalid
+from steelnav.segmentation import GmmModel, _kmeanspp_means
 
 
 def bellman_ford(vertices, edges, src):
@@ -290,6 +295,106 @@ def m_step(points, resp, floor):
         cov = (resp[:, j][:, None] * diff).T @ diff / nk_safe[j]
         covariances[j] = cov + floor * np.eye(2)
     return nk / n, means, covariances
+
+
+def em_once(points, k, rng, max_iter, rel_tol, floor):
+    """One EM fit from the package's k-means++ seeding, with the
+    per-component Cholesky E-step, SciPy's logsumexp and the per-component
+    M-step above; same stopping rule as the package."""
+    means = _kmeanspp_means(points, k, rng)
+    weights = np.full(k, 1.0 / k)
+    iso = max(float(np.var(points, axis=0).mean()), floor)
+    covariances = np.tile(np.eye(2) * iso, (k, 1, 1))
+
+    history = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        log_prob = log_gaussians(points, means, covariances) + np.log(weights)
+        log_norm = logsumexp(log_prob, axis=1)
+        ll = float(log_norm.sum())
+        history.append(ll)
+        weights, means, covariances = m_step(
+            points, np.exp(log_prob - log_norm[:, None]), floor)
+        if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
+
+
+# The EM iteration written with a fresh temporary per elementwise step, kept
+# verbatim as the rounding reference: the package's in-place kernel must
+# reproduce every float of it bit for bit.
+
+def _log_gaussians(points, means, covariances):
+    """(N, k) log-densities, all components at once.
+
+    For a 2×2 covariance [[a, b], [b, c]] with det = ac - b², the
+    Mahalanobis form is (c·dx² - 2b·dx·dy + a·dy²) / det (Bishop 2006, §9.2).
+    The result is the transpose of a component-major (k, N) array, so
+    reductions over the k components run along contiguous memory.
+    """
+    a, b, c = covariances[:, 0, 0], covariances[:, 0, 1], covariances[:, 1, 1]
+    det = a * c - b * b
+    # an infinite or NaN entry makes det infinite or NaN too
+    bad = ~((a > 0) & (det > 0) & np.isfinite(det))
+    if bad.any():
+        raise SingularCovariance(f"component {int(np.argmax(bad))} covariance not SPD")
+    dx = points[:, 0] - means[:, :1]  # (k, N)
+    dy = points[:, 1] - means[:, 1:]
+    maha = (c[:, None] * dx * dx - 2.0 * b[:, None] * dx * dy
+            + a[:, None] * dy * dy) / det[:, None]
+    return (-0.5 * (maha + np.log(det)[:, None] + 2.0 * np.log(2.0 * np.pi))).T
+
+
+def _logsumexp_rows(a):
+    """Row-wise log(sum(exp(a))), by SciPy's formula: the m terms equal to
+    the row maximum are taken out, log1p(s / m) + log(m) + max."""
+    a_max = a.max(axis=1, keepdims=True)
+    rest = a != a_max
+    m = a.shape[1] - np.count_nonzero(rest, axis=1, keepdims=True)
+    shifted = np.subtract(a, a_max, out=np.full_like(a, -np.inf), where=rest)
+    s = np.exp(shifted).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+
+
+def _m_step(points, resp, floor):
+    """Weights, means and floored covariances from (N, k) responsibilities."""
+    resp = resp.T  # (k, N); contiguous for responsibilities of _log_gaussians
+    k, n = resp.shape
+    nk = resp.sum(axis=1)
+    nk_safe = np.maximum(nk, 1e-300)
+    means = (resp @ points) / nk_safe[:, None]
+    dx = points[:, 0] - means[:, :1]
+    dy = points[:, 1] - means[:, 1:]
+    rdx = resp * dx
+    covariances = np.empty((k, 2, 2))
+    covariances[:, 0, 0] = (rdx * dx).sum(axis=1) / nk_safe + floor
+    covariances[:, 0, 1] = covariances[:, 1, 0] = (rdx * dy).sum(axis=1) / nk_safe
+    covariances[:, 1, 1] = (resp * dy * dy).sum(axis=1) / nk_safe + floor
+    return nk / n, means, covariances
+
+
+def allocating_em_once(points, k, rng, max_iter, rel_tol, floor):
+    means = _kmeanspp_means(points, k, rng)
+    weights = np.full(k, 1.0 / k)
+    iso = max(float(np.var(points, axis=0).mean()), floor)
+    covariances = np.tile(np.eye(2) * iso, (k, 1, 1))
+
+    history = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        log_prob = _log_gaussians(points, means, covariances) + np.log(weights)
+        log_norm = _logsumexp_rows(log_prob)
+        ll = float(log_norm.sum())
+        history.append(ll)
+        weights, means, covariances = _m_step(
+            points, np.exp(log_prob - log_norm[:, None]), floor)
+
+        if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
+
 
 
 def wrap_angle(a):

@@ -16,7 +16,7 @@ from steelnav import (
     transform_point,
     voxel_downsample,
 )
-from steelnav.cloud import MAX_COORD
+from steelnav.cloud import MAX_COORD, _cross
 from steelnav.errors import (
     DegenerateCloud,
     InvalidLeaf,
@@ -260,6 +260,17 @@ class TestRansac:
         patch = extract_plane_ransac(PointCloud(plate), 0.01, rng_seed=0)
         assert len(patch.inliers) == 300
         np.testing.assert_allclose(np.abs(patch.normal), [0, 0, 1], atol=1e-9)
+
+    def test_cross_bit_equal_to_numpy(self):
+        # spans of 1e-5 to 1e5 per pair, signs and zeros mixed
+        rng = np.random.default_rng(4)
+        n = 100_000
+        a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-5, 5, (n, 1))
+        b = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-5, 5, (n, 1))
+        a[::97, 1] = 0.0
+        b[::89] *= -1.0
+        got = np.array([_cross(u, v) for u, v in zip(a, b)])
+        assert got.tobytes() == np.cross(a, b).tobytes()
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(2)
