@@ -284,6 +284,10 @@ def extract_plane_ransac(
     DegenerateCloud for fewer than 3 points or when every sample is
     degenerate (a collinear cloud), NoPlane when the best inlier fraction
     falls below `min_inlier_fraction`.
+
+    Sampling stops once a plane holds every point: a later sample is
+    adopted only when it holds more, so the plane, its inliers and every
+    error are those of scoring all `max_iters` samples.
     """
     pts = cloud.points
     n = len(pts)
@@ -305,6 +309,8 @@ def extract_plane_ransac(
         if count > best_count:
             best_count = count
             best = (normal, offset)
+            if count == n:
+                break
     if best is None and max_iters > 0:
         raise DegenerateCloud(f"all {max_iters} samples of {n} points are collinear")
     if best is None or best_count < min_inlier_fraction * n:

@@ -11,7 +11,9 @@ code with the package under test; the reference planner takes the
 package's containment checker as its validity test, and the EM fits take
 its k-means++ seeding.  The EM iteration that allocates a temporary per
 step is kept verbatim as the bit-exact rounding reference for the
-package's in-place kernel.
+package's in-place kernel, and the RANSAC plane fit that scores every
+sample (with the package's scalar cross product) as the reference for the
+package's fit, which stops sampling once a plane holds every point.
 """
 import itertools
 import math
@@ -21,7 +23,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from steelnav.errors import GoalInvalid, NoPathFound, SingularCovariance, StartInvalid
+from steelnav.cloud import PlanePatch, PointCloud, _cross
+from steelnav.errors import (
+    DegenerateCloud,
+    GoalInvalid,
+    NoPathFound,
+    NoPlane,
+    SingularCovariance,
+    StartInvalid,
+)
 from steelnav.segmentation import GmmModel, _kmeanspp_means
 
 
@@ -395,6 +405,59 @@ def allocating_em_once(points, k, rng, max_iter, rel_tol, floor):
         prev_ll = ll
     return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
 
+
+
+def ransac_full_scan(
+    cloud: PointCloud,
+    dist_thresh: float,
+    max_iters: int = 500,
+    rng_seed: int = 0,
+    min_inlier_fraction: float = 0.2,
+) -> PlanePatch:
+    """RANSAC plane fit maximizing the inlier count over `max_iters` samples.
+
+    Deterministic given `rng_seed`.  A sample is degenerate when its two
+    spans a, b have |a x b| <= 1e-12 |a| |b|, a test relative to the sample
+    alone, so no far point elsewhere in the cloud sways it.  Raises
+    DegenerateCloud for fewer than 3 points or when every sample is
+    degenerate (a collinear cloud), NoPlane when the best inlier fraction
+    falls below `min_inlier_fraction`.
+    """
+    pts = cloud.points
+    n = len(pts)
+    if n < 3:
+        raise DegenerateCloud(f"need >= 3 non-collinear points, got {n}")
+    rng = np.random.default_rng(rng_seed)
+    best_count = -1
+    best = None  # (normal, offset)
+    for _ in range(max_iters):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        a, b = pts[j] - pts[i], pts[k] - pts[i]
+        normal = _cross(a, b)
+        norm = np.linalg.norm(normal)
+        if norm <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b):
+            continue
+        normal = normal / norm
+        offset = float(normal @ pts[i])
+        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= dist_thresh))
+        if count > best_count:
+            best_count = count
+            best = (normal, offset)
+    if best is None and max_iters > 0:
+        raise DegenerateCloud(f"all {max_iters} samples of {n} points are collinear")
+    if best is None or best_count < min_inlier_fraction * n:
+        raise NoPlane(f"best inlier fraction {max(best_count, 0) / n:.3f} "
+                      f"below {min_inlier_fraction}")
+    normal, offset = best
+    # sign convention: first non-negligible component positive
+    for c in normal:
+        if abs(c) > 1e-12:
+            if c < 0:
+                normal, offset = -normal, -offset
+            break
+    mask = np.abs(pts @ normal - offset) <= dist_thresh
+    inliers = PointCloud(pts[mask], cloud.frame)
+    return PlanePatch(inliers, normal, offset, inliers.points.mean(axis=0))
 
 
 def wrap_angle(a):

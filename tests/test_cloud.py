@@ -8,7 +8,10 @@ from steelnav import (
     Frame,
     PointCloud,
     RigidTransform,
+    Shape,
+    StructureSpec,
     extract_plane_ransac,
+    generate,
     load_cloud,
     passthrough_filter,
     project_to_2d,
@@ -22,9 +25,12 @@ from steelnav.errors import (
     InvalidLeaf,
     InvalidPoints,
     InvalidRange,
+    NoPlane,
     ParseError,
     WrongFrame,
 )
+
+import oracles
 
 
 def write(tmp_path, name, text):
@@ -280,6 +286,112 @@ class TestRansac:
         b = extract_plane_ransac(c, 0.01, rng_seed=42)
         np.testing.assert_array_equal(a.normal, b.normal)
         np.testing.assert_array_equal(a.inliers.points, b.inliers.points)
+
+
+def noisy_plate(n, outlier_frac, seed):
+    """A tilted unit plate with z noise 0.003 whose `outlier_frac` of rows
+    are replaced by points uniform in a box around it."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.normal(0, 0.003, n)])
+    m = int(round(outlier_frac * n))
+    pts[rng.choice(n, m, replace=False)] = rng.uniform(-0.5, 1.5, (m, 3))
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return pts @ rot.T + [0.2, -0.3, 0.5]
+
+
+def flat_plate(n, seed, z=0.0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0, 1, (n, 2)), np.full(n, z)])
+
+
+class TestRansacBitExact:
+    """Every plane, inlier set and error equals that of scoring every sample
+    in full (oracles.ransac_full_scan)."""
+
+    @staticmethod
+    def check(pts, dist_thresh=0.01, **kwargs):
+        cloud = PointCloud(pts)
+        try:
+            want = oracles.ransac_full_scan(cloud, dist_thresh, **kwargs)
+        except (DegenerateCloud, NoPlane) as exc:
+            with pytest.raises(type(exc)) as got:
+                extract_plane_ransac(cloud, dist_thresh, **kwargs)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return None
+        got = extract_plane_ransac(cloud, dist_thresh, **kwargs)
+        assert got.normal.tobytes() == want.normal.tobytes()
+        assert np.float64(got.offset).tobytes() == np.float64(want.offset).tobytes()
+        assert got.inliers.points.tobytes() == want.inliers.points.tobytes()
+        assert got.centroid.tobytes() == want.centroid.tobytes()
+        return got
+
+    def test_switch_plate_bench_scene(self):
+        # the switch-plate workload's cloud at bench seed 1: the seed-1 I
+        # plate moved by the seed-1 offset, fitted with pipeline seed 1
+        spec = StructureSpec(Shape.I, bar_width=0.5, density=3000, noise_sigma=0.002, seed=1)
+        offset = np.append(np.random.default_rng(1).uniform(-1.0, 1.0, 2), 0.0)
+        got = self.check(generate(spec)[0].points + offset, rng_seed=1)
+        assert len(got.inliers) == 5000
+
+    @pytest.mark.parametrize("n", [300, 5000, 20_000])
+    @pytest.mark.parametrize("z", [0.0, 0.7])
+    def test_exactly_planar(self, n, z):
+        assert len(self.check(flat_plate(n, seed=n, z=z), rng_seed=3).inliers) == n
+
+    @pytest.mark.parametrize("outlier_frac", [0.0, 0.1, 0.4, 0.7])
+    def test_noisy_plate_with_outliers(self, outlier_frac):
+        assert self.check(noisy_plate(20_000, outlier_frac, seed=5), rng_seed=2) is not None
+
+    def test_all_points_after_all_but_one(self):
+        # a plane holding 29 of the 30 points is adopted before one that
+        # holds all 30: sampling goes on until every point is held
+        assert len(self.check(noisy_plate(30, 0.0, seed=2), rng_seed=0).inliers) == 30
+
+    def test_three_points(self):
+        self.check(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), dist_thresh=0.001)
+
+    def test_two_points(self):
+        assert self.check(np.zeros((2, 3))) is None
+
+    def test_far_in_plane_point(self):
+        plate = flat_plate(300, seed=3)
+        plate[0, 0] = 1e14
+        assert len(self.check(plate).inliers) == 300
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_collinear(self, scale):
+        pts = scale * (np.outer(np.linspace(0, 1, 50), [1.0, 2.0, 3.0]) + [0.3, -0.7, 0.1])
+        assert self.check(pts, dist_thresh=0.01 * scale) is None
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_max_iters_zero_and_one(self, max_iters):
+        self.check(noisy_plate(2000, 0.4, seed=9), max_iters=max_iters)
+
+    @pytest.mark.parametrize("pts", [flat_plate(500, seed=6), noisy_plate(20_000, 0.1, seed=7)],
+                             ids=["flat", "outliers"])
+    def test_min_inlier_fraction_one(self, pts):
+        self.check(pts, min_inlier_fraction=1.0)
+
+    def test_all_inlier_plate_draws_one_sample(self, monkeypatch):
+        # max_iters bounds the samples drawn; a plane that holds every point
+        # cannot be beaten, so no later sample is drawn
+        plate = PointCloud(flat_plate(500, seed=8))
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                draws.append(args)
+                return self.rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        patch = extract_plane_ransac(plate, 0.01, max_iters=10**6)
+        assert len(draws) == 1
+        assert len(patch.inliers) == 500
 
 
 class TestTransforms:
