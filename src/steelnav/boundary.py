@@ -14,7 +14,10 @@ import numpy as np
 from .errors import EmptyBoundary, EmptyInput, InvalidAlpha
 
 _MAX_PAIR_ELEMS = 1 << 22  # bounds memory of the farthest-pair scan (block x n x d)
-_PRUNE_MIN_POINTS = 64  # measured: pruning first pays from about 50-70 points
+_BLOCK_ELEMS = 1 << 13  # bounds each block of the padded scan (windows x k x k)
+# a window with this many survivors of the reach prune, as a round one, is
+# pruned again by _fan_prune and scanned alone
+_FAN_MIN_POINTS = 64
 # axes and diagonals: the vectors of {-1, 0, 1}^d whose first nonzero is 1
 _DIRECTIONS = {d: np.array([v for v in product((-1, 0, 1), repeat=d) if v > (0,) * d],
                            dtype=float)
@@ -95,30 +98,88 @@ def _scan_farthest_pair(pts: np.ndarray) -> tuple[int, int]:
 
 
 def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
-    """Indices of the two points at maximum mutual distance.
+    """Indices of the two points at maximum mutual distance: the
+    lexicographically first (i, j) of the full scan, the one-window case
+    of _farthest_pairs."""
+    i, j = _farthest_pairs(pts, np.arange(len(pts)), np.zeros(1, dtype=np.intp))[0]
+    return int(i), int(j)
 
-    Returns the lexicographically first (i, j) of the full scan.  From
-    _PRUNE_MIN_POINTS points on, the scan runs only over the points whose
-    reach, an upper bound on their squared distance to any other point,
-    attains `lower`, the largest squared distance among the extreme points
-    along the axes and diagonals (Akl & Toussaint 1978).  The first reach
-    is the distance to the bounding box's farthest corner, summed in the
-    scan's coordinate order; it is exact after rounding, because rounding
-    is monotone.  Where that leaves _PRUNE_MIN_POINTS or more points, as
-    on a round window, _fan_prune bounds those again.  Both points of every
-    maximum pair are kept, in their original order.
+
+def _farthest_pairs(pts: np.ndarray, idx: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each window's farthest pair, as a (windows, 2) array of indices into pts.
+
+    Window w holds the points idx[starts[w]:starts[w + 1]], the last one
+    to the end of idx: one or more finite points, in increasing order.
+    Its pair is the lexicographically first (i, j) of a full row-major
+    scan over its ordered pairs, (i, i) for a single point.
+
+    The scan runs only over the points whose reach, an upper bound on
+    their squared distance to any other point of the window, attains
+    `lower`, the largest squared distance between a point at the least and
+    one at the greatest projection on one of the axes and diagonals (Akl &
+    Toussaint 1978).  The reach is the distance to the window's bounding
+    box's farthest corner, summed in the scan's coordinate order; it is
+    exact after rounding, because rounding is monotone.  Any real pair's
+    squared distance is a valid `lower`, so both points of every maximum
+    pair survive, in their original order, whichever of several tied
+    points stands at an end.  Boxes and ends are segmented reductions over
+    all windows at once (Blelloch 1990); one padded scan then takes every
+    window with fewer than _FAN_MIN_POINTS survivors, and _fan_prune and
+    the blocked scan each other one.
     """
-    keep = np.arange(len(pts))
-    if len(pts) >= _PRUNE_MIN_POINTS:
-        proj = pts @ _DIRECTIONS[pts.shape[1]].T
-        ext = pts[np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])]
-        lower = _sq_dist(ext[:, None, :], ext[None, :, :]).max()
-        far = np.maximum(pts - pts.min(axis=0), pts.max(axis=0) - pts)
-        keep = np.flatnonzero(_sq_dist(far, np.zeros(pts.shape[1])) >= lower)
-        if len(keep) >= _PRUNE_MIN_POINTS:
-            keep = keep[_fan_prune(pts[keep], lower)]
-    i, j = _scan_farthest_pair(pts[keep])
-    return int(keep[i]), int(keep[j])
+    n_win = len(starts)
+    counts = np.diff(np.append(starts, len(idx)))
+    p = pts.take(idx, axis=0)
+    proj = p @ _DIRECTIONS[p.shape[1]].T
+    ends = []
+    for reduce in (np.minimum, np.maximum):
+        at = proj == np.repeat(reduce.reduceat(proj, starts), counts, axis=0)
+        m, t = np.divmod(np.flatnonzero(at), proj.shape[1])
+        end = np.empty((n_win, proj.shape[1]), dtype=np.intp)
+        end[np.searchsorted(starts, m, "right") - 1, t] = m  # any of tied points will do
+        ends.append(end)
+    del proj, at
+    lower = _sq_dist(p[ends[0]], p[ends[1]]).max(axis=1)
+    far = np.maximum(p - np.repeat(np.minimum.reduceat(p, starts), counts, axis=0),
+                     np.repeat(np.maximum.reduceat(p, starts), counts, axis=0) - p)
+    keep = np.flatnonzero(_sq_dist(far, np.zeros(p.shape[1])) >= np.repeat(lower, counts))
+    del far
+    n_keep = np.bincount(np.searchsorted(starts, keep, "right") - 1, minlength=n_win)
+    first = np.cumsum(n_keep) - n_keep
+    pair = np.empty((n_win, 2), dtype=np.intp)
+    small = np.flatnonzero(n_keep < _FAN_MIN_POINTS)
+    small = small[np.argsort(-n_keep[small], kind="stable")]
+    i, j = _padded_farthest(p.take(keep, axis=0), first[small], n_keep[small])
+    pair[small, 0], pair[small, 1] = keep[first[small] + i], keep[first[small] + j]
+    for w in np.flatnonzero(n_keep >= _FAN_MIN_POINTS):
+        s = keep[first[w]:first[w] + n_keep[w]]
+        s = s[_fan_prune(p[s], lower[w])]
+        i, j = _scan_farthest_pair(p[s])
+        pair[w] = s[i], s[j]
+    return idx[pair]
+
+
+def _padded_farthest(q: np.ndarray, first: np.ndarray, n: np.ndarray):
+    """The lexicographically first (i, j) of maximum squared distance over
+    the ordered pairs of each window q[first[w]:first[w] + n[w]].
+
+    Windows come widest first.  Each block of windows is padded to the
+    width k of its first, and holds at most _BLOCK_ELEMS pair distances
+    (at least one window); padded pairs read -1, below every real one.
+    """
+    i, j = np.empty(len(n), dtype=np.intp), np.empty(len(n), dtype=np.intp)
+    a = 0
+    while a < len(n):
+        k = int(n[a])
+        b = a + max(1, _BLOCK_ELEMS // (k * k))
+        col = np.arange(k)
+        pad = col >= n[a:b, None]
+        x = q.take(first[a:b, None] + np.where(pad, 0, col), axis=0)
+        d2 = _sq_dist(x[:, :, None, :], x[:, None, :, :])
+        d2[pad[:, :, None] | pad[:, None, :]] = -1.0
+        i[a:b], j[a:b] = np.divmod(d2.reshape(len(x), k * k).argmax(axis=1), k)
+        a = b
+    return i, j
 
 
 def _fan_prune(pts: np.ndarray, lower: float) -> np.ndarray:
@@ -221,12 +282,40 @@ def default_alpha_s(points: np.ndarray) -> float:
     return 2.0 * float(median)
 
 
+def _windows(coord: np.ndarray, lo: float, hi: float,
+             alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty windows of one axis, for _farthest_pairs: the indices
+    of their points, window by window and each window's in increasing
+    order, and where each window starts among them.
+
+    The windows are `alpha_s` wide, centered at lo + i*alpha_s; a point
+    lies in each one whose center is at most alpha_s / 2 away.  lo and hi
+    are the least and greatest coordinate.
+    """
+    n_windows = int(np.ceil(max(hi - lo, 0.0) / alpha_s)) + 1
+    # a point's windows are among its nearest and that one's two neighbours
+    near = np.rint((coord - lo) / alpha_s).astype(np.int64)
+    inside = np.empty((len(coord), 3), dtype=bool)
+    for k in range(3):
+        win = near + (k - 1)
+        inside[:, k] = ((np.abs(coord - (lo + win * alpha_s)) <= alpha_s / 2)
+                        & (win >= 0) & (win < n_windows))
+    point, k = np.divmod(np.flatnonzero(inside), 3)
+    win = near[point] + (k - 1)
+    # stable, so each window's points stay in index order; NumPy
+    # radix-sorts a dtype of 16 bits or less
+    order = np.argsort(win.astype(np.min_scalar_type(n_windows)), kind="stable")
+    win = win[order]
+    return point[order], np.flatnonzero(np.r_[True, win[1:] != win[:-1]])
+
+
 def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
     """Slicing boundary estimation.
 
     For every axis (x, y for 2D input; x, y, z for 3D) the coordinate
     range is tiled by windows of width `alpha_s` centered at
-    min + i*alpha_s; each window contributes its farthest point pair.
+    min + i*alpha_s; each window contributes its farthest point pair,
+    found for all windows of an axis in one pass (_farthest_pairs).
     Output points are deduplicated members of the input, never
     synthesized coordinates.  Raises InvalidAlpha when alpha_s is not
     finite and positive, or too small for the rounding of the coordinates.
@@ -240,42 +329,18 @@ def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
         raise InvalidAlpha(f"alpha_s must be finite and > 0, got {alpha_s}")
 
     center = pts.mean(axis=0)
-    half = alpha_s / 2
-    out = []
-    for axis in range(pts.shape[1]):
-        coord = pts[:, axis]
-        lo, hi = float(coord.min()), float(coord.max())
-        pad = 16 * np.finfo(float).eps * (abs(lo) + abs(hi) + alpha_s)
-        # rounding must stay far below a window, or a point's nearest
-        # window below could be off by more than one
-        if not pad < alpha_s / 4:
-            raise InvalidAlpha(f"alpha_s {alpha_s} is too small for coordinates "
-                               f"in [{lo}, {hi}]")
-        n_windows = int(np.ceil(max(hi - lo, 0.0) / alpha_s)) + 1
-        order = np.argsort(coord, kind="stable")
-        sorted_c = coord[order]
-        # Only windows that can hold a point: each point's nearest window
-        # and its two neighbours, as most windows of a tiny alpha_s are empty.
-        # Sort and drop repeats by hand: the first np.unique call of a
-        # process (NumPy 2.4) adds about 1 MB to its peak RSS.
-        near = np.rint((sorted_c - lo) / alpha_s).astype(np.int64)
-        near = np.sort(np.concatenate([near - 1, near, near + 1]).clip(0, n_windows - 1))
-        slices = lo + near[np.r_[True, near[1:] != near[:-1]]] * alpha_s
-        # Sorted-order slices, widened past rounding, then the exact mask.
-        starts = np.searchsorted(sorted_c, slices - half - pad, "left")
-        stops = np.searchsorted(sorted_c, slices + half + pad, "right")
-        for sl, a, b in zip(slices, starts, stops):
-            idx = order[a:b]
-            window = pts[np.sort(idx[np.abs(coord[idx] - sl) <= half])]
-            if len(window) == 0:
-                continue
-            if len(window) == 1:
-                out.append(window[0])
-                continue
-            i, j = _farthest_pair(window)
-            out.append(window[i])
-            out.append(window[j])
-    uniq = _unique_rows(np.asarray(out))
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    # rounding must stay far below a window, or a point's nearest window
+    # could be off by more than one; a NaN or an infinity fails here too,
+    # before any window pass
+    pad = 16 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi) + alpha_s)
+    bad = np.flatnonzero(~(pad < alpha_s / 4))
+    if len(bad):
+        raise InvalidAlpha(f"alpha_s {alpha_s} is too small for coordinates "
+                           f"in [{float(lo[bad[0]])}, {float(hi[bad[0]])}]")
+    pairs = [_farthest_pairs(pts, *_windows(pts[:, axis], lo[axis], hi[axis], alpha_s))
+             for axis in range(pts.shape[1])]
+    uniq = _unique_rows(pts[np.concatenate(pairs).ravel()])
     return Boundary(uniq, center, alpha_s)
 
 

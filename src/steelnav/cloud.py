@@ -6,9 +6,12 @@ take an explicit seed.
 """
 from __future__ import annotations
 
+import codecs
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -110,11 +113,15 @@ class RigidTransform:
 
 
 def read_text(path, error_cls=ParseError) -> str:
-    """The file's UTF-8 text; other bytes raise `error_cls` with their offset."""
+    """The file's UTF-8 text, less a leading byte-order mark; other bytes
+    raise `error_cls` with their offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise error_cls(f"{path} is not UTF-8 text (byte {exc.start})") from None
+        # the decoder counts from after the byte-order mark it dropped
+        with open(path, "rb") as f:
+            start = exc.start + len(codecs.BOM_UTF8) * (f.read(3) == codecs.BOM_UTF8)
+        raise error_cls(f"{path} is not UTF-8 text (byte {start})") from None
 
 
 # Each header parser returns (index of the first data line, (ix, iy, iz)
@@ -185,13 +192,31 @@ def _ply_header(lines):
 
 
 def _parse_rows(lines, start, cols, sep, count):
-    """x, y, z floats of the data rows; blank and '#' lines are skipped."""
-    ix, iy, iz = cols
+    """(N, 3) x, y, z floats of the data rows; blank and '#' lines are skipped.
+
+    The rows are split and converted in bulk, by Python's float, as one
+    stream, so no split row outlives its conversion; only when that fails
+    are they walked one by one for the first bad row, so each error names
+    the line and gives the text of a row-by-row parse.
+    """
+    rows = (line.split(sep) for line in map(str.strip, lines[start:])
+            if line and line[0] != "#")
+    try:  # itemgetter raises IndexError on a row that is too short
+        xyz = np.fromiter(map(float, chain.from_iterable(
+            map(itemgetter(*cols), islice(rows, count)))), dtype=float).reshape(-1, 3)
+    except (IndexError, ValueError):
+        xyz = None
+    if xyz is None or not np.isfinite(xyz).all():
+        _raise_bad_row(lines, start, cols, sep)
+    if count is not None and len(xyz) != count:
+        raise ParseError(f"expected {count} vertices, got {len(xyz)}")
+    return xyz
+
+
+def _raise_bad_row(lines, start, cols, sep):
+    """Raise the ParseError of the first data row that does not parse."""
     need = max(cols) + 1
-    pts = []
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        if len(pts) == count:
-            break
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -199,15 +224,12 @@ def _parse_rows(lines, start, cols, sep, count):
         if len(row) < need:
             raise ParseError(f"expected {need} columns, got {len(row)}", line=lineno)
         try:
-            p = [float(row[ix]), float(row[iy]), float(row[iz])]
+            p = [float(row[i]) for i in cols]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if not (math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])):
+        if not all(map(math.isfinite, p)):
             raise ParseError("non-finite coordinate", line=lineno)
-        pts.append(p)
-    if count is not None and len(pts) != count:
-        raise ParseError(f"expected {count} vertices, got {len(pts)}")
-    return pts
+    raise AssertionError("every data row parses")
 
 
 _HEADERS = {"csv": _csv_header, "pcd": _pcd_header, "ply": _ply_header}

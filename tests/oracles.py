@@ -14,6 +14,11 @@ step is kept verbatim as the bit-exact rounding reference for the
 package's in-place kernel, and the RANSAC plane fit that scores every
 sample (with the package's scalar cross product) as the reference for the
 package's fit, which stops sampling once a plane holds every point.
+The slicing boundary estimator that prunes and scans one window at a time
+(with the package's bounds, fan prune and blocked scan) is kept verbatim,
+but for names, as the bit-exact reference for the package's batched pass,
+and the row parser that converts one row at a time as the reference for
+its bulk parser.
 """
 import itertools
 import math
@@ -23,12 +28,23 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
+from steelnav.boundary import (
+    _DIRECTIONS,
+    Boundary,
+    _fan_prune,
+    _scan_farthest_pair,
+    _sq_dist as _np_sq_dist,
+    _unique_rows,
+)
 from steelnav.cloud import PlanePatch, PointCloud, _cross
 from steelnav.errors import (
     DegenerateCloud,
+    EmptyInput,
     GoalInvalid,
+    InvalidAlpha,
     NoPathFound,
     NoPlane,
+    ParseError,
     SingularCovariance,
     StartInvalid,
 )
@@ -278,6 +294,120 @@ def ncbe_points(points, alpha_s):
                 a, b = farthest_pair(window)
                 out.update((tuple(window[a]), tuple(window[b])))
     return out
+
+
+_PRUNE_MIN_POINTS = 64  # measured: pruning first pays from about 50-70 points
+
+
+def window_farthest_pair(pts):
+    """Indices of the two points at maximum mutual distance.
+
+    Returns the lexicographically first (i, j) of the full scan.  From
+    _PRUNE_MIN_POINTS points on, the scan runs only over the points whose
+    reach, an upper bound on their squared distance to any other point,
+    attains `lower`, the largest squared distance among the extreme points
+    along the axes and diagonals (Akl & Toussaint 1978).  The first reach
+    is the distance to the bounding box's farthest corner, summed in the
+    scan's coordinate order; it is exact after rounding, because rounding
+    is monotone.  Where that leaves _PRUNE_MIN_POINTS or more points, as
+    on a round window, _fan_prune bounds those again.  Both points of every
+    maximum pair are kept, in their original order.
+    """
+    keep = np.arange(len(pts))
+    if len(pts) >= _PRUNE_MIN_POINTS:
+        proj = pts @ _DIRECTIONS[pts.shape[1]].T
+        ext = pts[np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])]
+        lower = _np_sq_dist(ext[:, None, :], ext[None, :, :]).max()
+        far = np.maximum(pts - pts.min(axis=0), pts.max(axis=0) - pts)
+        keep = np.flatnonzero(_np_sq_dist(far, np.zeros(pts.shape[1])) >= lower)
+        if len(keep) >= _PRUNE_MIN_POINTS:
+            keep = keep[_fan_prune(pts[keep], lower)]
+    i, j = _scan_farthest_pair(pts[keep])
+    return int(keep[i]), int(keep[j])
+
+
+def per_window_ncbe(points, alpha_s):
+    """Slicing boundary estimation.
+
+    For every axis (x, y for 2D input; x, y, z for 3D) the coordinate
+    range is tiled by windows of width `alpha_s` centered at
+    min + i*alpha_s; each window contributes its farthest point pair.
+    Output points are deduplicated members of the input, never
+    synthesized coordinates.  Raises InvalidAlpha when alpha_s is not
+    finite and positive, or too small for the rounding of the coordinates.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+        raise EmptyInput("points must have shape (N, 2) or (N, 3)")
+    if len(pts) == 0:
+        raise EmptyInput("empty point set")
+    if not 0 < alpha_s < np.inf:
+        raise InvalidAlpha(f"alpha_s must be finite and > 0, got {alpha_s}")
+
+    center = pts.mean(axis=0)
+    half = alpha_s / 2
+    out = []
+    for axis in range(pts.shape[1]):
+        coord = pts[:, axis]
+        lo, hi = float(coord.min()), float(coord.max())
+        pad = 16 * np.finfo(float).eps * (abs(lo) + abs(hi) + alpha_s)
+        # rounding must stay far below a window, or a point's nearest
+        # window below could be off by more than one
+        if not pad < alpha_s / 4:
+            raise InvalidAlpha(f"alpha_s {alpha_s} is too small for coordinates "
+                               f"in [{lo}, {hi}]")
+        n_windows = int(np.ceil(max(hi - lo, 0.0) / alpha_s)) + 1
+        order = np.argsort(coord, kind="stable")
+        sorted_c = coord[order]
+        # Only windows that can hold a point: each point's nearest window
+        # and its two neighbours, as most windows of a tiny alpha_s are empty.
+        # Sort and drop repeats by hand: the first np.unique call of a
+        # process (NumPy 2.4) adds about 1 MB to its peak RSS.
+        near = np.rint((sorted_c - lo) / alpha_s).astype(np.int64)
+        near = np.sort(np.concatenate([near - 1, near, near + 1]).clip(0, n_windows - 1))
+        slices = lo + near[np.r_[True, near[1:] != near[:-1]]] * alpha_s
+        # Sorted-order slices, widened past rounding, then the exact mask.
+        starts = np.searchsorted(sorted_c, slices - half - pad, "left")
+        stops = np.searchsorted(sorted_c, slices + half + pad, "right")
+        for sl, a, b in zip(slices, starts, stops):
+            idx = order[a:b]
+            window = pts[np.sort(idx[np.abs(coord[idx] - sl) <= half])]
+            if len(window) == 0:
+                continue
+            if len(window) == 1:
+                out.append(window[0])
+                continue
+            i, j = window_farthest_pair(window)
+            out.append(window[i])
+            out.append(window[j])
+    uniq = _unique_rows(np.asarray(out))
+    return Boundary(uniq, center, alpha_s)
+
+
+def per_row_parse_rows(lines, start, cols, sep, count):
+    """x, y, z floats of the data rows; blank and '#' lines are skipped."""
+    ix, iy, iz = cols
+    need = max(cols) + 1
+    pts = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if len(pts) == count:
+            break
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = line.split(sep)
+        if len(row) < need:
+            raise ParseError(f"expected {need} columns, got {len(row)}", line=lineno)
+        try:
+            p = [float(row[ix]), float(row[iy]), float(row[iz])]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if not (math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])):
+            raise ParseError("non-finite coordinate", line=lineno)
+        pts.append(p)
+    if count is not None and len(pts) != count:
+        raise ParseError(f"expected {count} vertices, got {len(pts)}")
+    return pts
 
 
 def log_gaussians(points, means, covariances):

@@ -7,8 +7,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from steelnav import svgplot
+from steelnav import boundary, cloud, segmentation, svgplot
 from steelnav.cli import main
+
+import oracles
 
 SVG = "{http://www.w3.org/2000/svg}"
 DOT = re.compile(r"M(\S+) (\S+?)h0")
@@ -125,3 +127,34 @@ class TestOneJsonLayout:
         assert printed == compact(printed)
         text = out.read_text()
         assert text == compact(text)
+
+
+class TestKernelsMatchTheirOracles:
+    def test_every_artifact_is_byte_identical(self, runs, tmp_path, monkeypatch):
+        # the per-window NCBE and the per-row parser in place of the
+        # package's batched pass and bulk parser
+        calls = []
+
+        def per_window_ncbe(points, alpha_s):
+            calls.append("ncbe")
+            return oracles.per_window_ncbe(points, alpha_s)
+
+        def per_row_parse_rows(*args):
+            calls.append("parse")
+            return oracles.per_row_parse_rows(*args)
+
+        monkeypatch.setattr(boundary, "ncbe", per_window_ncbe)
+        monkeypatch.setattr(segmentation, "ncbe", per_window_ncbe)  # imported by name
+        monkeypatch.setattr(cloud, "_parse_rows", per_row_parse_rows)
+        assert run("navigate", "--input", runs / "cross" / "cloud.csv", "--config",
+                   runs / "cfg.json", "--seed", "1", "--out", tmp_path / "nav") == 2
+        assert run("switching", "--input", runs / "plate" / "cloud.csv", "--seed", "1",
+                   "--out", tmp_path / "sw") == 0
+        assert calls.count("parse") == 2 and calls.count("ncbe") > 2
+        for name in ("nav", "sw"):
+            files = sorted(p.relative_to(runs / name) for p in (runs / name).iterdir())
+            assert files == sorted(p.relative_to(tmp_path / name)
+                                   for p in (tmp_path / name).iterdir())
+            for f in files:
+                want = (runs / name / f).read_bytes()
+                assert (tmp_path / name / f).read_bytes() == want, f

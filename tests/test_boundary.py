@@ -1,10 +1,13 @@
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from steelnav import boundary as bd
+from steelnav import segmentation
 from steelnav import (
     Boundary,
     are_neighbors,
@@ -14,6 +17,7 @@ from steelnav import (
     ncbe,
     point_in_boundary,
 )
+from steelnav.cli import main
 from steelnav.errors import EmptyBoundary, EmptyInput, InvalidAlpha
 from steelnav.planner import PibcChecker
 
@@ -103,6 +107,15 @@ class TestNcbe:
             ncbe(np.zeros((0, 2)), 0.1)
         with pytest.raises(InvalidAlpha):
             ncbe(np.zeros((3, 2)), 0.0)
+
+    @pytest.mark.parametrize("bad", [(5, 1, np.nan), (0, 0, np.inf), (69, 2, np.nan)])
+    def test_non_finite_coordinate(self, bad):
+        # checked on every axis before any window pass, whichever axis holds it
+        i, axis, value = bad
+        pts = np.random.default_rng(12).uniform(0, 1, (70, 3))
+        pts[i, axis] = value
+        with pytest.raises(InvalidAlpha, match="too small for coordinates"):
+            ncbe(pts, 0.5)
 
     def test_infinite_alpha(self):
         with pytest.raises(InvalidAlpha, match="finite"):
@@ -239,7 +252,7 @@ class TestAreNeighbors:
         assert not are_neighbors(border, l_b=0.001)
 
 
-CUTOFF = bd._PRUNE_MIN_POINTS
+CUTOFF = bd._FAN_MIN_POINTS
 
 
 def shuffled_lattice(rng, *axes):
@@ -249,9 +262,24 @@ def shuffled_lattice(rng, *axes):
     return grid[rng.permutation(len(grid))].astype(float)
 
 
+def assert_same_boundary(pts, alpha):
+    """ncbe gives the per-window pass's points in the same order and bits,
+    or raises the same InvalidAlpha."""
+    try:
+        want = oracles.per_window_ncbe(pts, alpha).points
+    except InvalidAlpha:
+        with pytest.raises(InvalidAlpha):
+            ncbe(pts, alpha)
+        return
+    got = ncbe(pts, alpha).points
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also the sign of each zero
+
+
 class TestFarthestPairOracle:
     def check(self, pts):
         assert bd._farthest_pair(pts) == oracles.farthest_pair(pts)
+        assert_same_boundary(pts, float(np.ptp(pts, axis=0).max()) / 7)
 
     @pytest.mark.parametrize("n", [5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -306,10 +334,13 @@ class TestFarthestPairOracle:
         self.check(offset + radius * np.column_stack([r * np.cos(t), r * np.sin(t)]))
 
     def test_large_windows_scan_only_the_hull(self, monkeypatch):
+        # the pair scans, padded or blocked, see only the prunes' survivors
         scanned = []
-        scan = bd._scan_farthest_pair
+        padded, blocked = bd._padded_farthest, bd._scan_farthest_pair
+        monkeypatch.setattr(bd, "_padded_farthest", lambda q, first, n:
+                            scanned.append(int(n.sum())) or padded(q, first, n))
         monkeypatch.setattr(bd, "_scan_farthest_pair",
-                            lambda pts: scanned.append(len(pts)) or scan(pts))
+                            lambda pts: scanned.append(len(pts)) or blocked(pts))
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(0, 1, (2000, 2)), np.zeros(2000)])
         r, t = np.sqrt(rng.uniform(0, 1, 1000)), rng.uniform(0, 2 * np.pi, 1000)
@@ -319,7 +350,7 @@ class TestFarthestPairOracle:
                     disk, diamond):
             scanned.clear()
             self.check(pts)
-            assert len(scanned) == 1 and scanned[0] < 300
+            assert 0 < sum(scanned) < 300
 
 
 class TestNcbeWindowsOracle:
@@ -332,6 +363,7 @@ class TestNcbeWindowsOracle:
         for p, alpha in ((pts, 1.0), (pts, 0.5), (noisy, 0.3)):
             got = {tuple(q) for q in ncbe(p, alpha).points}
             assert got == oracles.ncbe_points(p, alpha)
+            assert_same_boundary(p, alpha)
 
     def test_mostly_empty_windows(self):
         # 20,000 windows per axis for 300 points: ncbe visits only those
@@ -339,6 +371,124 @@ class TestNcbeWindowsOracle:
         pts = np.random.default_rng(4).uniform(0, 2, (300, 2))
         got = {tuple(q) for q in ncbe(pts, 1e-4).points}
         assert got == oracles.ncbe_points(pts, 1e-4)
+        assert_same_boundary(pts, 1e-4)
+
+
+# The benchmark's seed-1 scenes: synth at scene seed 1, moved in the plane by
+# an offset drawn from the workload seed.  The planner never calls ncbe, so
+# the navigate scenes run without an RRT budget.
+WORKLOAD_SCENES = {
+    "switch-plate": ("switching", ["--shape", "i", "--bar-width", "0.5",
+                                   "--density", "3000", "--noise", "0.002"], {}),
+    "nav-sparse": ("navigate",
+                   ["--shape", "cross", "--density", "2000", "--noise", "0.004"],
+                   {"planner": {"max_iters": 0}, "segmentation": {"n_cmax": 5}}),
+    "nav-dense": ("navigate",
+                  ["--shape", "cross", "--density", "4000", "--noise", "0.004"],
+                  {"planner": {"max_iters": 0}}),
+}
+
+
+@pytest.fixture(scope="module")
+def workload_ncbe_inputs(tmp_path_factory):
+    """Each benchmark scene's ncbe calls, as (points, alpha_s) pairs."""
+    root = tmp_path_factory.mktemp("workloads")
+    calls = {}
+    real = bd.ncbe
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (command, synth, config) in WORKLOAD_SCENES.items():
+            seen = calls[name] = []
+
+            def record(points, alpha_s, seen=seen):
+                seen.append((np.array(points), alpha_s))
+                return real(points, alpha_s)
+
+            mp.setattr(bd, "ncbe", record)
+            mp.setattr(segmentation, "ncbe", record)  # imported by name
+            scene = root / name
+            assert main(["synth", *synth, "--seed", "1", "--out", str(scene)]) == 0
+            dx, dy = (float(v) for v in np.random.default_rng(1).uniform(-1.0, 1.0, 2))
+            cloud = scene / "cloud.csv"
+            rows = [[float(c) for c in line.split(",")]
+                    for line in cloud.read_text().splitlines()]
+            cloud.write_text("".join(f"{x + dx!r},{y + dy!r},{z!r}\n" for x, y, z in rows))
+            (scene / "config.json").write_text(json.dumps(config))
+            main([command, "--input", str(cloud), "--config", str(scene / "config.json"),
+                  "--seed", "1", "--out", str(scene / "out")])
+    return calls
+
+
+class TestNcbeBitExact:
+    """The batched pass gives the per-window pass's points, order and bits."""
+
+    def test_workload_inputs(self, workload_ncbe_inputs):
+        assert [len(c) for c in workload_ncbe_inputs.values()] == [1, 14, 20]
+        for calls in workload_ncbe_inputs.values():
+            for pts, alpha in calls:
+                assert_same_boundary(pts, alpha)
+
+    def test_disk_takes_the_fan_path(self, monkeypatch):
+        fans = []
+        fan = bd._fan_prune
+        monkeypatch.setattr(bd, "_fan_prune", lambda pts, lower: fans.append(len(pts))
+                            or fan(pts, lower))
+        rng = np.random.default_rng(8)
+        r, t = np.sqrt(rng.uniform(0, 1, 20000)), rng.uniform(0, 2 * np.pi, 20000)
+        assert_same_boundary(np.column_stack([r * np.cos(t), r * np.sin(t)]), 0.5)
+        assert fans
+
+    def test_plate_whose_z_axis_is_one_window(self):
+        rng = np.random.default_rng(9)
+        xy = rng.uniform(-1, 1, (3000, 2))
+        assert_same_boundary(np.column_stack([xy, np.zeros(3000)]), 0.05)
+        assert_same_boundary(np.column_stack([xy, rng.uniform(0, 0.01, 3000)]), 0.05)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_point_windows(self, dim):
+        pts = np.random.default_rng(dim).uniform(0, 1, (60, dim))
+        assert_same_boundary(pts, 1e-3)
+        assert_same_boundary(pts[:1], 0.1)
+
+    @pytest.mark.parametrize("budget", [1, 40, 300])
+    def test_small_blocks(self, monkeypatch, budget):
+        # one window or a few per block, each padded to the widest in it
+        monkeypatch.setattr(bd, "_BLOCK_ELEMS", budget)
+        rng = np.random.default_rng(budget)
+        pts = shuffled_lattice(rng, np.arange(13) / 2, np.arange(7) / 2) + [0.25, 3.0]
+        for p, alpha in ((pts, 0.5), (rng.normal(size=(500, 3)), 0.2)):
+            assert_same_boundary(p, alpha)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak over one call, after a first call to warm up."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNcbeMemory:
+    """One axis at a time, and padded blocks of at most _BLOCK_ELEMS pair
+    distances, keep the batched pass within 0.5 MB of the per-window peak."""
+
+    def check(self, pts, alpha):
+        assert traced_peak(ncbe, pts, alpha) <= (
+            traced_peak(oracles.per_window_ncbe, pts, alpha) + 0.5e6)
+
+    def test_switch_plate_inliers(self, workload_ncbe_inputs):
+        self.check(*workload_ncbe_inputs["switch-plate"][0])
+
+    def test_large_square(self):
+        self.check(np.random.default_rng(10).uniform(0, 1, (50000, 2)), 0.01)
+
+    def test_circle(self):
+        # up to 26 points of each of the 201 windows per axis survive the
+        # reach prune; in one block, their padded scan would take 1.5 MB more
+        t = np.random.default_rng(11).uniform(0, 2 * np.pi, 8000)
+        self.check(np.column_stack([np.cos(t), np.sin(t)]), 0.01)
 
 
 def nearest_neighbor_cases():

@@ -182,6 +182,11 @@ class TestSolve:
         g = load_edge_list(path)
         assert g.edges == ((0, 1, 2.5),)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 1 2.5\n")
+        assert load_edge_list(path).edges == ((0, 1, 2.5),)
+
     def test_malformed_line_is_error(self, tmp_path):
         path = self.write_edges(tmp_path, "0 1\n")
         assert run("solve", "--input", str(path), "--vs", "0", "--vt", "1") == 1
@@ -210,7 +215,9 @@ BAD_EDGE_LISTS = [
     ("0 1 1.0\n0 0 1\n", "line 2: self-loops"),
     ("0 1 nan\n", "line 1: edge weights must be finite"),
     ("0 1 inf\n", "line 1: edge weights must be finite"),
-    (b"\xff\xfe", "edges.txt is not UTF-8 text"),
+    (b"\xff\xfe", "edges.txt is not UTF-8 text (byte 0)"),
+    # the offset counts the byte-order mark
+    (b"\xef\xbb\xbf0 1 1.0\n\xff", "edges.txt is not UTF-8 text (byte 11)"),
 ]
 
 
@@ -239,6 +246,7 @@ PLY_HEADER = "ply\nformat ascii 1.0\n{}\nproperty float x\nend_header\n"
     ("bad.ply", PLY_HEADER.format("element vertex"), "line 3: expected 'element"),
     ("missing.csv", None, "missing.csv"),
     ("bin.csv", b"\xff\xfe", "bin.csv is not UTF-8 text"),
+    ("bom.csv", b"\xef\xbb\xbf0,0,0\n\xff", "bom.csv is not UTF-8 text (byte 9)"),
     ("bin.ply", b"ply\nformat binary_little_endian 1.0\n\xff\x00\n",
      "bin.ply is not UTF-8 text"),
 ])
@@ -267,7 +275,8 @@ BAD_CONFIGS = [
     ({"planner": {"rule": 3}}, "planner.rule must be a string"),
     ({"planner": {"m_neighbors": 0}}, "m_neighbors"),
     ({"route": {"v_t": "3"}}, "route.v_t must be an integer"),
-    (b'{"seed": 1\xff}', "cfg.json is not UTF-8 text"),
+    (b'{"seed": 1\xff}', "cfg.json is not UTF-8 text (byte 10)"),
+    (b'\xef\xbb\xbf{"seed": 1\xff}', "cfg.json is not UTF-8 text (byte 13)"),
     ({"planner": {"step": 0}}, "planner.step must be > 0"),
     ({"planner": {"step": -0.01}}, "planner.step must be > 0"),
     ({"planner": {"max_iters": -1}}, "planner.max_iters must be >= 0"),

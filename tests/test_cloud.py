@@ -1,3 +1,4 @@
+import codecs
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from steelnav import (
     transform_point,
     voxel_downsample,
 )
+from steelnav import cloud
 from steelnav.cloud import MAX_COORD, _cross
 from steelnav.errors import (
     DegenerateCloud,
@@ -105,8 +107,83 @@ class TestLoadCloud:
         with pytest.raises(ParseError):
             load_cloud(write(tmp_path, "a.xyz", "0 0 0\n"))
 
+    @pytest.mark.parametrize("name,text", [
+        ("a.csv", "0,0,0\n1,2,3\n"),
+        ("a.pcd", "FIELDS x y z\nDATA ascii\n0 0 0\n1 2 3\n"),
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+         "property float y\nproperty float z\nend_header\n0 0 0\n1 2 3\n"),
+    ])
+    def test_byte_order_mark_is_dropped(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        np.testing.assert_array_equal(load_cloud(path).points, [[0, 0, 0], [1, 2, 3]])
+
+    @pytest.mark.parametrize("prefix", [b"", codecs.BOM_UTF8])
+    def test_bad_byte_offset_counts_from_the_file_start(self, tmp_path, prefix):
+        path = tmp_path / "a.csv"
+        path.write_bytes(prefix + b"0,0,0\n\xff\n")
+        with pytest.raises(ParseError) as ei:
+            load_cloud(path)
+        assert str(ei.value) == f"{path} is not UTF-8 text (byte {len(prefix) + 6})"
+
 
 PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+def random_field(rng):
+    """One number in one of the spellings Python's float accepts."""
+    x = float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+    spell = rng.integers(8)
+    if spell == 0:
+        return repr(x)
+    if spell == 1:
+        return f"{x:.6e}"
+    if spell == 2:
+        return f"{x:+.3E}"
+    if spell == 3:
+        return f"{rng.integers(1, 99)}_{rng.integers(0, 999):03d}"  # 1_0 is 10
+    if spell == 4:
+        return str(int(rng.integers(-9, 10)))
+    if spell == 5:
+        return rng.choice(["-0", "-0.0", "+0.", ".5", "5.", "-.25e-3"])
+    if spell == 6:
+        return f"{x:.17g}".upper()
+    return f"{x!r}".replace("e", "E")
+
+
+def random_cloud_text(fmt, seed, rows=60):
+    """A valid cloud with padded fields, extra columns, blank and '#' lines
+    between the rows, CRLF line ends and, for PLY, face rows after the
+    vertices."""
+    rng = np.random.default_rng(seed)
+    sep, n_cols = ",", 3
+    head = []
+    if fmt == "pcd":
+        sep, n_cols = " ", 5
+        head = ["VERSION .7", "FIELDS rgb z x i y", "SIZE 4 4 4 4 4", "DATA ascii"]
+    elif fmt == "ply":
+        sep, n_cols = " ", 4
+        head = ["ply", "format ascii 1.0", f"element vertex {rows}", "property float y",
+                "property float intensity", "property float x", "property float z",
+                "element face 2", "property list uchar int vertex_indices", "end_header"]
+    body = []
+    for _ in range(rows):
+        extra = int(rng.integers(3)) if fmt == "csv" else 0
+        fields = [random_field(rng) for _ in range(n_cols + extra)]
+        if sep == ",":
+            fields = [" " * int(rng.integers(2)) + f + "\t" * int(rng.integers(2))
+                      for f in fields]
+            row = ",".join(fields)
+        else:
+            gaps = rng.choice([" ", "  ", "\t", " \t "], len(fields))
+            row = "".join(f + g for f, g in zip(fields, gaps)).rstrip()
+        body.append(" " * int(rng.integers(2)) + row + " " * int(rng.integers(2)))
+        if rng.uniform() < 0.15:
+            body.append(rng.choice(["", "   ", "# a comment", "#1,2,3"]))
+    if fmt == "ply":
+        body += ["3 0 1 2", "4 0 1 2 3"]
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(head + body) + end
 
 
 class TestRowParser:
@@ -127,21 +204,48 @@ class TestRowParser:
         c = load_cloud(write(tmp_path, name, text))
         np.testing.assert_array_equal(c.points, [[0, 0, 0], [1, 2, 3]])
 
-    @pytest.mark.parametrize("name,text,line", [
-        ("a.csv", "0,0,0\n1,2\n", 2),
-        ("a.pcd", "FIELDS x y z\nDATA ascii\n0 0 0\n1 2\n", 4),
+    @pytest.mark.parametrize("name,text,line,message", [
+        ("a.csv", "0,0,0\n1,2\n", 2, "expected 3 columns, got 2"),
+        ("a.pcd", "FIELDS x y z\nDATA ascii\n0 0 0\n1 2\n", 4, "expected 3 columns, got 2"),
         ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
-         "end_header\n0 0 0\n1 2\n", 9),
-        ("a.csv", "0,0,0\n1,inf,3\n", 2),
-        ("a.pcd", "FIELDS x y z\nDATA ascii\nnan 0 0\n", 3),
+         "end_header\n0 0 0\n1 2\n", 9, "expected 3 columns, got 2"),
+        ("a.csv", "0,0,0\n1,inf,3\n", 2, "non-finite coordinate"),
+        ("a.pcd", "FIELDS x y z\nDATA ascii\nnan 0 0\n", 3, "non-finite coordinate"),
         ("a.ply", "ply\nformat ascii 1.0\nelement vertex 1\n" + PLY_XYZ +
-         "end_header\n0 0 -inf\n", 8),
-        ("a.csv", "0,0,0\n1,x,3\n", 2),
+         "end_header\n0 0 -inf\n", 8, "non-finite coordinate"),
+        ("a.csv", "0,0,0\n1,x,3\n", 2, "could not convert string to float: 'x'"),
+        # the first bad row wins, whatever is wrong with a later one
+        ("a.csv", "0,0,0\n1,2,y\n1,2\nnan,0,0\n", 2,
+         "could not convert string to float: 'y'"),
+        ("a.csv", "0,0,0\n1,2,nan\n1,2\n", 2, "non-finite coordinate"),
+        ("a.csv", "0,0,0\n\n# x\n1,2\n1,x,3\n", 4, "expected 3 columns, got 2"),
+        # PLY rows past the vertex count are not vertices
+        ("a.ply", "ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
+         "end_header\n0 0 0\n1 x 3\n3 0 1 2\n", 9,
+         "could not convert string to float: 'x'"),
     ])
-    def test_bad_row_names_its_line(self, tmp_path, name, text, line):
+    def test_bad_row_names_its_line(self, tmp_path, name, text, line, message):
         with pytest.raises(ParseError) as ei:
             load_cloud(write(tmp_path, name, text))
         assert ei.value.line == line
+        assert str(ei.value) == f"line {line}: {message}"
+
+    def test_rows_past_the_vertex_count_are_not_parsed(self, tmp_path):
+        text = ("ply\nformat ascii 1.0\nelement vertex 2\n" + PLY_XYZ +
+                "end_header\n0 0 0\n1 2 3\n3 0 1\nx y\n")
+        c = load_cloud(write(tmp_path, "a.ply", text))
+        np.testing.assert_array_equal(c.points, [[0, 0, 0], [1, 2, 3]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("fmt", ["csv", "pcd", "ply"])
+    def test_bulk_parse_matches_row_by_row(self, tmp_path, fmt, seed):
+        path = write(tmp_path, f"a.{fmt}", random_cloud_text(fmt, seed))
+        lines = cloud.read_text(path).splitlines()
+        header = cloud._HEADERS[fmt](lines)
+        got = cloud._parse_rows(lines, *header)
+        want = np.asarray(oracles.per_row_parse_rows(lines, *header), dtype=float)
+        assert got.shape == want.reshape(-1, 3).shape and len(got) > 0
+        assert got.tobytes() == want.tobytes()
 
     def test_ply_with_fewer_rows_than_declared(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 3\n" + PLY_XYZ +

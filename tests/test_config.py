@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import operator
@@ -108,3 +109,9 @@ def test_init_template_is_unchanged(tmp_path):
     assert main(["init", "--out", str(path)]) == 0
     assert path.read_text() == json.dumps(TEMPLATE, indent=2, sort_keys=True) + "\n"
     assert config.load_config(path) == config.DEFAULTS
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(codecs.BOM_UTF8 + json.dumps({"seed": 7}).encode())
+    assert config.load_config(path)["seed"] == 7
