@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import EmptyBoundary, EmptyInput, InvalidAlpha
 
-_MAX_PAIR_ELEMS = 1 << 22  # bounds memory of the farthest-pair scan (block x n x d)
-_BLOCK_ELEMS = 1 << 13  # bounds each block of the padded scan (windows x k x k)
+_BLOCK_ELEMS = 1 << 13  # bounds each block of the pair scan (windows x rows x k)
 # a window with this many survivors of the reach prune, as a round one, is
-# pruned again by _fan_prune and scanned alone
+# pruned again by _fan_prune
 _FAN_MIN_POINTS = 64
 # axes and diagonals: the vectors of {-1, 0, 1}^d whose first nonzero is 1
 _DIRECTIONS = {d: np.array([v for v in product((-1, 0, 1), repeat=d) if v > (0,) * d],
@@ -82,29 +81,6 @@ def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(_sq_dist(a, b))
 
 
-def _scan_farthest_pair(pts: np.ndarray) -> tuple[int, int]:
-    """Blocked O(k^2) scan; the first maximum in row-major order wins."""
-    n = len(pts)
-    rows = max(1, _MAX_PAIR_ELEMS // pts.size)
-    best = (-1.0, 0, 0)
-    for i0 in range(0, n, rows):
-        d2 = _sq_dist(pts[i0:i0 + rows, None, :], pts[None, :, :])
-        flat = int(np.argmax(d2))
-        i, j = divmod(flat, n)
-        val = float(d2[i, j])
-        if val > best[0]:
-            best = (val, i0 + i, j)
-    return best[1], best[2]
-
-
-def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
-    """Indices of the two points at maximum mutual distance: the
-    lexicographically first (i, j) of the full scan, the one-window case
-    of _farthest_pairs."""
-    i, j = _farthest_pairs(pts, np.arange(len(pts)), np.zeros(1, dtype=np.intp))[0]
-    return int(i), int(j)
-
-
 def _farthest_pairs(pts: np.ndarray, idx: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each window's farthest pair, as a (windows, 2) array of indices into pts.
 
@@ -123,9 +99,9 @@ def _farthest_pairs(pts: np.ndarray, idx: np.ndarray, starts: np.ndarray) -> np.
     squared distance is a valid `lower`, so both points of every maximum
     pair survive, in their original order, whichever of several tied
     points stands at an end.  Boxes and ends are segmented reductions over
-    all windows at once (Blelloch 1990); one padded scan then takes every
-    window with fewer than _FAN_MIN_POINTS survivors, and _fan_prune and
-    the blocked scan each other one.
+    all windows at once (Blelloch 1990).  A window with _FAN_MIN_POINTS
+    survivors or more is pruned again by _fan_prune, and one call of
+    _scan_windows then scans the survivors of all windows.
     """
     n_win = len(starts)
     counts = np.diff(np.append(starts, len(idx)))
@@ -146,44 +122,53 @@ def _farthest_pairs(pts: np.ndarray, idx: np.ndarray, starts: np.ndarray) -> np.
     del far
     n_keep = np.bincount(np.searchsorted(starts, keep, "right") - 1, minlength=n_win)
     first = np.cumsum(n_keep) - n_keep
-    pair = np.empty((n_win, 2), dtype=np.intp)
-    small = np.flatnonzero(n_keep < _FAN_MIN_POINTS)
-    small = small[np.argsort(-n_keep[small], kind="stable")]
-    i, j = _padded_farthest(p.take(keep, axis=0), first[small], n_keep[small])
-    pair[small, 0], pair[small, 1] = keep[first[small] + i], keep[first[small] + j]
+    live = np.ones(len(keep), dtype=bool)
     for w in np.flatnonzero(n_keep >= _FAN_MIN_POINTS):
-        s = keep[first[w]:first[w] + n_keep[w]]
-        s = s[_fan_prune(p[s], lower[w])]
-        i, j = _scan_farthest_pair(p[s])
-        pair[w] = s[i], s[j]
-    return idx[pair]
+        seg = slice(first[w], first[w] + n_keep[w])
+        live[seg] = _fan_prune(p[keep[seg]], lower[w])
+        n_keep[w] = np.count_nonzero(live[seg])
+    keep = keep[live]
+    first = np.cumsum(n_keep) - n_keep
+    i, j = _scan_windows(p.take(keep, axis=0), first, n_keep)
+    return idx[keep[np.column_stack([first + i, first + j])]]
 
 
-def _padded_farthest(q: np.ndarray, first: np.ndarray, n: np.ndarray):
+def _scan_windows(q: np.ndarray, first: np.ndarray, n: np.ndarray):
     """The lexicographically first (i, j) of maximum squared distance over
-    the ordered pairs of each window q[first[w]:first[w] + n[w]].
+    the ordered pairs of each window q[first[w]:first[w] + n[w]]: a full
+    row-major scan summed by _sq_dist, (0, 0) for a single point.
 
-    Windows come widest first.  Each block of windows is padded to the
+    Windows are taken widest first.  Each block of windows is padded to the
     width k of its first, and holds at most _BLOCK_ELEMS pair distances
-    (at least one window); padded pairs read -1, below every real one.
+    (at least one window).  A window is padded with its first point, so a
+    padded pair repeats the distance of a real pair that comes before it in
+    row-major order and never wins.  A window too wide for one block is
+    scanned alone, in blocks of rows under the same budget, and the
+    earliest block holding its maximum wins.
     """
     i, j = np.empty(len(n), dtype=np.intp), np.empty(len(n), dtype=np.intp)
+    order = np.argsort(-n, kind="stable")
     a = 0
-    while a < len(n):
-        k = int(n[a])
-        b = a + max(1, _BLOCK_ELEMS // (k * k))
+    while a < len(order):
+        k = int(n[order[a]])
+        rows = min(k, max(1, _BLOCK_ELEMS // k))
+        w = order[a:a + max(1, _BLOCK_ELEMS // (rows * k))]
         col = np.arange(k)
-        pad = col >= n[a:b, None]
-        x = q.take(first[a:b, None] + np.where(pad, 0, col), axis=0)
-        d2 = _sq_dist(x[:, :, None, :], x[:, None, :, :])
-        d2[pad[:, :, None] | pad[:, None, :]] = -1.0
-        i[a:b], j[a:b] = np.divmod(d2.reshape(len(x), k * k).argmax(axis=1), k)
-        a = b
+        x = q.take(first[w, None] + np.where(col < n[w, None], col, 0), axis=0)
+        best = np.full(len(w), -np.inf)
+        for r in range(0, k, rows):
+            d2 = _sq_dist(x[:, r:r + rows, None, :], x[:, None, :, :]).reshape(len(w), -1)
+            at = d2.argmax(axis=1)
+            val = d2[np.arange(len(w)), at]
+            up = val > best
+            best[up] = val[up]
+            i[w[up]], j[w[up]] = np.divmod(at[up] + r * k, k)
+        a += len(w)
     return i, j
 
 
 def _fan_prune(pts: np.ndarray, lower: float) -> np.ndarray:
-    """Indices of the points whose fan bound attains `lower`.
+    """Which points' fan bound attains `lower`, as a mask.
 
     In the plane of the two widest axes, a point's distance to another is
     at most its distance to the farthest support line of the set along the
@@ -208,7 +193,7 @@ def _fan_prune(pts: np.ndarray, lower: float) -> np.ndarray:
     ext[proj.argmin(axis=1)] = ext[proj.argmax(axis=1)] = True
     e = pts[ext]
     lower = max(lower, _sq_dist(e[:, None, :], e[None, :, :]).max())
-    return np.flatnonzero(bound * (1 + 64 * eps) >= lower)
+    return bound * (1 + 64 * eps) >= lower
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -428,8 +413,8 @@ def cluster_border(a: Boundary, b: Boundary, eps_border: float,
     else:
         merged = np.zeros((0, a.points.shape[1] if len(a) else 2))
     if len(merged) >= 2:
-        i, j = _farthest_pair(merged)
-        length = float(np.linalg.norm(merged[i] - merged[j]))
+        i, j = _scan_windows(merged, np.zeros(1, dtype=np.intp), np.array([len(merged)]))
+        length = float(np.linalg.norm(merged[i[0]] - merged[j[0]]))
     else:
         length = 0.0
     midpoint = merged.mean(axis=0) if len(merged) else None

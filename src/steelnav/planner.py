@@ -8,6 +8,7 @@ nearest candidate clusters; RRT grows a tree of valid configurations in
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .errors import EmptyBoundaries, GoalInvalid, NoPathFound, StartInvalid
 from .route import RoutePlan
 
 THETA_METRIC_WEIGHT = 0.3  # m/rad inside the nearest-neighbor metric
+_DRAW_BLOCK = 1 << 10  # doubles per Generator.random call of _samples
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -188,13 +190,16 @@ def _interp_segment(a, b, spacing: float) -> np.ndarray:
 def _samples(seed: int, n: int, goal_bias: float, lo: np.ndarray, hi: np.ndarray):
     """n RRT samples: None for the goal, else (x, y, theta) in [lo, hi) x [-pi, pi).
 
-    The random numbers are one block of `Generator.random` doubles, walked
-    in order: one for the goal test, three more for a free sample, turned
-    into x, y and theta with `Generator.uniform`'s arithmetic,
-    low + (high - low) * u.  So the samples are those of one `random` and
-    two `uniform` calls each, bit for bit.
+    The random numbers are `Generator.random` doubles, drawn in blocks of
+    _DRAW_BLOCK whatever n and walked in order: one for the goal test,
+    three more for a free sample, turned into x, y and theta with
+    `Generator.uniform`'s arithmetic, low + (high - low) * u.  So the
+    samples are those of one `random` and two `uniform` calls each, bit
+    for bit.
     """
-    draws = iter(np.random.default_rng(seed).random(4 * n).tolist())
+    rng = np.random.default_rng(seed)
+    draws = itertools.chain.from_iterable(
+        rng.random(_DRAW_BLOCK).tolist() for _ in itertools.count())
     (lo_x, lo_y), (span_x, span_y) = lo.tolist(), (hi - lo).tolist()
     for _ in range(n):
         if next(draws) < goal_bias:
@@ -234,7 +239,7 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
     step, theta_step = params.step, params.theta_step
 
     parents = [-1]
-    states = np.empty((params.max_iters + 1, 3))
+    states = np.empty((64, 3))  # doubled whenever the tree fills it
     states[0] = start.x, start.y, start.theta
     v = np.empty(2)  # each 2-norm is sqrt(v @ v), the sum np.linalg.norm takes
     goal_failed = set()  # nodes whose extension toward the goal failed
@@ -265,6 +270,8 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
                 goal_failed.add(ni)
             continue
 
+        if len(parents) == len(states):
+            states = np.concatenate([states, np.empty_like(states)])
         states[len(parents)] = new
         parents.append(ni)
 

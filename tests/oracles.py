@@ -15,12 +15,12 @@ package's in-place kernel, and the RANSAC plane fit that scores every
 sample (with the package's scalar cross product) as the reference for the
 package's fit, which stops sampling once a plane holds every point.
 The slicing boundary estimator that prunes and scans one window at a time
-(with the package's bounds, fan prune and blocked scan) is kept verbatim,
+(with the package's bounds, fan prune and pair scan) is kept verbatim,
 but for names, as the bit-exact reference for the package's batched pass,
 and the row parser that converts one row at a time as the reference for
-its bulk parser.
+its bulk parser.  The RRT samples drawn from one block of 4n doubles are
+the reference for the planner's, drawn in blocks of a fixed size.
 """
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +32,7 @@ from steelnav.boundary import (
     _DIRECTIONS,
     Boundary,
     _fan_prune,
-    _scan_farthest_pair,
+    _scan_windows,
     _sq_dist as _np_sq_dist,
     _unique_rows,
 )
@@ -238,12 +238,26 @@ def _dist(a, b):
 
 
 def farthest_pair(points):
-    """Lexicographically first (i, j), i < j, of maximum squared distance."""
+    """Lexicographically first (i, j), i < j, of maximum squared distance;
+    None for fewer than two points.
+
+    The all-pairs table in blocks of 256 rows, each squared distance
+    summed coordinate by coordinate in order; the first maximum in
+    row-major order above the diagonal wins.
+    """
+    p = np.asarray(points, dtype=float)
+    n, rows = len(p), 256
     best, pair = -1.0, None
-    for i, j in itertools.combinations(range(len(points)), 2):
-        d2 = _sq_dist(points[i], points[j])
-        if d2 > best:
-            best, pair = d2, (i, j)
+    for i0 in range(0, n, rows):
+        block = p[i0:i0 + rows]
+        d2 = np.zeros((len(block), n))
+        for k in range(p.shape[1]):
+            d = block[:, k, None] - p[None, :, k]
+            d2 += d * d
+        d2[np.arange(i0, i0 + len(block))[:, None] >= np.arange(n)] = -1.0
+        flat = int(d2.argmax())
+        if d2.flat[flat] > best:
+            best, pair = float(d2.flat[flat]), (i0 + flat // n, flat % n)
     return pair
 
 
@@ -322,8 +336,8 @@ def window_farthest_pair(pts):
         keep = np.flatnonzero(_np_sq_dist(far, np.zeros(pts.shape[1])) >= lower)
         if len(keep) >= _PRUNE_MIN_POINTS:
             keep = keep[_fan_prune(pts[keep], lower)]
-    i, j = _scan_farthest_pair(pts[keep])
-    return int(keep[i]), int(keep[j])
+    i, j = _scan_windows(pts[keep], np.zeros(1, dtype=np.intp), np.array([len(keep)]))
+    return int(keep[i[0]]), int(keep[j[0]])
 
 
 def per_window_ncbe(points, alpha_s):
@@ -632,6 +646,19 @@ def interp_configs(a, b, spacing):
         Pose(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t, a.theta + dtheta * t)
         for t in (i / n for i in range(1, n + 1))
     ]
+
+
+def one_block_samples(seed, n, goal_bias, lo, hi):
+    """RRT samples from one block of 4n `Generator.random` doubles, walked
+    in order: one for the goal test, three more for a free sample."""
+    draws = iter(np.random.default_rng(seed).random(4 * n).tolist())
+    (lo_x, lo_y), (span_x, span_y) = lo.tolist(), (hi - lo).tolist()
+    for _ in range(n):
+        if next(draws) < goal_bias:
+            yield None
+        else:
+            yield (lo_x + span_x * next(draws), lo_y + span_y * next(draws),
+                   -math.pi + 2.0 * math.pi * next(draws))
 
 
 def rrt_plan(start, goal, fp, params, seed, checker):

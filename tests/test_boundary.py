@@ -278,7 +278,8 @@ def assert_same_boundary(pts, alpha):
 
 class TestFarthestPairOracle:
     def check(self, pts):
-        assert bd._farthest_pair(pts) == oracles.farthest_pair(pts)
+        got = bd._farthest_pairs(pts, np.arange(len(pts)), [0])
+        assert got.shape == (1, 2) and tuple(got[0]) == oracles.farthest_pair(pts)
         assert_same_boundary(pts, float(np.ptp(pts, axis=0).max()) / 7)
 
     @pytest.mark.parametrize("n", [5, CUTOFF - 1, CUTOFF, CUTOFF + 1, 300])
@@ -334,13 +335,11 @@ class TestFarthestPairOracle:
         self.check(offset + radius * np.column_stack([r * np.cos(t), r * np.sin(t)]))
 
     def test_large_windows_scan_only_the_hull(self, monkeypatch):
-        # the pair scans, padded or blocked, see only the prunes' survivors
+        # the pair scan sees only the prunes' survivors
         scanned = []
-        padded, blocked = bd._padded_farthest, bd._scan_farthest_pair
-        monkeypatch.setattr(bd, "_padded_farthest", lambda q, first, n:
-                            scanned.append(int(n.sum())) or padded(q, first, n))
-        monkeypatch.setattr(bd, "_scan_farthest_pair",
-                            lambda pts: scanned.append(len(pts)) or blocked(pts))
+        scan = bd._scan_windows
+        monkeypatch.setattr(bd, "_scan_windows", lambda q, first, n:
+                            scanned.append(int(n.sum())) or scan(q, first, n))
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(0, 1, (2000, 2)), np.zeros(2000)])
         r, t = np.sqrt(rng.uniform(0, 1, 1000)), rng.uniform(0, 2 * np.pi, 1000)
@@ -351,6 +350,64 @@ class TestFarthestPairOracle:
             scanned.clear()
             self.check(pts)
             assert 0 < sum(scanned) < 300
+
+
+class TestScanWindows:
+    """The one pair scan, window by window against the all-pairs oracle,
+    in blocks of at most _BLOCK_ELEMS pair distances."""
+
+    @pytest.fixture(autouse=True)
+    def block_sizes(self, monkeypatch):
+        sizes = []
+        sq_dist = bd._sq_dist
+
+        def record(a, b):
+            sizes.append(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
+            return sq_dist(a, b)
+
+        monkeypatch.setattr(bd, "_sq_dist", record)
+        return sizes
+
+    def check(self, windows, block_sizes):
+        n = np.array([len(w) for w in windows])
+        first = np.cumsum(n) - n
+        i, j = bd._scan_windows(np.concatenate(windows), first, n)
+        for w, a, b in zip(windows, i.tolist(), j.tolist()):
+            # a full scan of one point or of duplicates alone stops at (0, 0)
+            want = oracles.farthest_pair(w) if np.ptp(w, axis=0).any() else (0, 0)
+            assert (a, b) == want
+        assert block_sizes and max(block_sizes) <= bd._BLOCK_ELEMS
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_block_and_just_over(self, dim, block_sizes):
+        # k = 90 fills one block (8,100 pairs at 8,192); k = 91 is scanned
+        # alone, in blocks of rows
+        k = math.isqrt(bd._BLOCK_ELEMS)
+        rng = np.random.default_rng(dim)
+        sizes = [k, k + 1, 1, 7, k - 1, 2, 40, k + 1, 3]
+        self.check([rng.normal(size=(m, dim)) for m in sizes], block_sizes)
+
+    def test_one_point_and_duplicates(self, block_sizes):
+        rng = np.random.default_rng(5)
+        lattice = shuffled_lattice(rng, np.arange(6), np.arange(5))  # ties and repeats
+        wide = shuffled_lattice(rng, np.arange(12), np.arange(9))  # wider than a block
+        self.check([np.array([[0.5, -2.0]]), lattice, np.full((4, 2), 3.0), wide,
+                    np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [2.0, 1.0]])],
+                   block_sizes)
+
+    def test_fan_pruned_circle(self, monkeypatch, block_sizes):
+        # nearly every point of a circle survives both prunes, so the window is
+        # scanned alone, in blocks of rows
+        scanned = []
+        scan = bd._scan_windows
+        monkeypatch.setattr(bd, "_scan_windows", lambda q, first, n:
+                            scanned.append(int(n.sum())) or scan(q, first, n))
+        t = np.random.default_rng(6).uniform(0, 2 * np.pi, 400)
+        pts = np.column_stack([np.cos(t), np.sin(t)])
+        got = bd._farthest_pairs(pts, np.arange(len(pts)), [0])
+        assert tuple(got[0]) == oracles.farthest_pair(pts)
+        assert scanned[0] ** 2 > bd._BLOCK_ELEMS
+        assert max(block_sizes) <= bd._BLOCK_ELEMS
 
 
 class TestNcbeWindowsOracle:
@@ -558,6 +615,7 @@ class TestClusterBorderOracle:
         assert (got.midpoint is None) == (midpoint is None)
         if midpoint is not None:
             assert np.array_equal(got.midpoint, midpoint)
+        return merged
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random(self, dim):
@@ -565,7 +623,9 @@ class TestClusterBorderOracle:
         a = rng.uniform(0, 1, (120, dim))
         b = rng.uniform(0, 1, (90, dim)) + 0.9 * np.eye(dim)[0]
         for eps in (0.01, 0.05, 0.2, 5.0):
-            self.check(a, b, eps)
+            merged = self.check(a, b, eps)
+        # the last merges all 210 points, more than one block of the pair scan
+        assert len(merged) ** 2 > bd._BLOCK_ELEMS
 
     def test_pairs_exactly_eps_apart(self):
         y = np.arange(9) * 0.25

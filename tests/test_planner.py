@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from steelnav.errors import (
     NoPathFound,
     StartInvalid,
 )
+from steelnav import planner
 from steelnav.planner import (
     PibcChecker,
     _interp_segment,
@@ -164,6 +166,24 @@ class TestRrtPlan:
                      seed=4)
         assert a.configs == c.configs
 
+    def test_memory_does_not_grow_with_max_iters(self):
+        # an easy step ends long before either budget; neither the samples
+        # nor the tree are allocated up front
+        b, _ = corridor_boundary()
+        checker = PibcChecker([b], rule="any")
+        start, goal = Config(-0.3, 0, 0), Config(0.3, 0, 0)
+        paths, peaks = [], []
+        for max_iters in (300, 10**12):
+            params = RrtParams(step=0.02, goal_tol=0.01, max_iters=max_iters)
+            tracemalloc.start()
+            try:
+                paths.append(rrt_plan(start, goal, checker, self.FP, params, seed=4).configs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert paths[0] == paths[1]
+        assert max(peaks) < 1e6, peaks
+
     def test_unreachable_times_out(self):
         # two disjoint bars: the goal sits in the far one
         b1, _ = corridor_boundary(seed=0)
@@ -277,6 +297,17 @@ class TestFloatKernels:
                     xy = rng.uniform(lo, hi)
                     want.append(bits([xy[0], xy[1], rng.uniform(-math.pi, math.pi)]))
             assert [bits(s) for s in _samples(seed, 300, goal_bias, lo, hi)] == want
+
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.1])
+    def test_sample_blocks_match_one_block(self, goal_bias):
+        # counts of samples up to and past block boundaries: a free sample
+        # takes four doubles, a goal sample one
+        lo, hi = np.array([-0.71, -0.33]), np.array([1.93, 0.8])
+        per_block = planner._DRAW_BLOCK // 4
+        for seed in range(5):
+            for n in (per_block - 1, per_block, per_block + 1, 3 * per_block + 7):
+                want = list(oracles.one_block_samples(seed, n, goal_bias, lo, hi))
+                assert list(_samples(seed, n, goal_bias, lo, hi)) == want
 
 
 class CountingChecker(PibcChecker):
