@@ -25,7 +25,6 @@ from .cloud import (
     passthrough_filter,
     project_to_2d,
     transform_cloud,
-    transform_point,
     voxel_downsample,
 )
 from .errors import SteelNavError
@@ -65,7 +64,7 @@ __all__ = [
     "default_alpha_s", "ncbe", "point_in_boundary",
     "Frame", "PlanePatch", "PointCloud", "RigidTransform", "extract_plane_ransac",
     "load_cloud", "passthrough_filter", "project_to_2d", "transform_cloud",
-    "transform_point", "voxel_downsample",
+    "voxel_downsample",
     "SteelNavError",
     "StructureGraph", "VertexKind", "build_graph", "fit_principal_line",
     "Config", "Footprint", "MotionPath", "RrtParams", "plan_route", "rrt_plan",

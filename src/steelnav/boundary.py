@@ -58,8 +58,6 @@ class Boundary:
 class Border:
     """Shared boundary-point set between two clusters."""
 
-    cluster_a: int
-    cluster_b: int
     points: np.ndarray  # (K, d), possibly empty
     length: float  # diameter of the border point set, 0 if < 2 points
     midpoint: np.ndarray | None  # mean of border points, None when empty
@@ -398,8 +396,7 @@ def point_in_boundary(b: Boundary, p: np.ndarray, m: int, rule: str = "all") -> 
     return bool(center_closest(p, b.points, b.center, m, rule)[0])
 
 
-def cluster_border(a: Boundary, b: Boundary, eps_border: float,
-                   cluster_a: int = 0, cluster_b: int = 1) -> Border:
+def cluster_border(a: Boundary, b: Boundary, eps_border: float) -> Border:
     """Boundary points of each cluster within eps_border of the other's."""
     if not eps_border > 0:
         raise ValueError(f"eps_border must be > 0, got {eps_border}")
@@ -418,7 +415,7 @@ def cluster_border(a: Boundary, b: Boundary, eps_border: float,
     else:
         length = 0.0
     midpoint = merged.mean(axis=0) if len(merged) else None
-    return Border(cluster_a, cluster_b, merged, length, midpoint)
+    return Border(merged, length, midpoint)
 
 
 def are_neighbors(border: Border, l_b: float) -> bool:

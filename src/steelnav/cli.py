@@ -253,12 +253,15 @@ def _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
 # --- standalone solver -----------------------------------------------------
 
 def _vertex_ids(tokens) -> list:
-    """The one vertex-id rule: all ints when every token spells an int, else
-    the tokens unchanged.  Ids of one type keep the route's sorts defined."""
+    """The one vertex-id rule: all ints when every token is an int's canonical
+    spelling (str(int(t)) == t), else the tokens unchanged.  Distinct tokens
+    stay distinct ids ("1" and "01" are two vertices), and ids of one type
+    keep the route's sorts defined."""
     try:
-        return [int(t) for t in tokens]
+        ids = [int(t) for t in tokens]
     except ValueError:
         return list(tokens)
+    return ids if all(str(i) == t for i, t in zip(ids, tokens)) else list(tokens)
 
 
 def load_edge_list(path) -> rt.Multigraph:
@@ -288,8 +291,12 @@ def load_edge_list(path) -> rt.Multigraph:
 
 def solve_graph(path, v_s, v_t, oracle=False, out=None) -> dict:
     g = load_edge_list(path)
-    # the endpoints join the graph's ids under the same rule
-    *_, v_s, v_t = _vertex_ids([*map(str, g.vertices), v_s, v_t])
+    # the endpoints take the file's id type: on an integer file "03" is vertex 3
+    if all(isinstance(v, int) for v in g.vertices):
+        try:
+            v_s, v_t = int(v_s), int(v_t)
+        except ValueError:
+            pass  # an endpoint that is no integer names no vertex here
     plan = rt.vocpp(g, v_s, v_t)
     payload = plan.to_json()
     if oracle:

@@ -350,11 +350,6 @@ def extract_plane_ransac(
     return PlanePatch(inliers, normal, offset, inliers.points.mean(axis=0))
 
 
-def transform_point(p: np.ndarray, t: RigidTransform) -> np.ndarray:
-    """Apply the rigid transform: R.p + t."""
-    return t.apply(p)
-
-
 def transform_cloud(cloud: PointCloud, t: RigidTransform,
                     frame: Frame = Frame.ROBOT_BASE) -> PointCloud:
     return PointCloud(t.apply(cloud.points), frame)

@@ -113,31 +113,25 @@ def build_graph(cs: ClusterSet, d_min: float) -> StructureGraph:
             continue  # empty cluster contributes nothing
         center_id[i] = add_vertex(cs.boundaries[i].center[:2], VertexKind.CENTER)
 
+    # a neighbor border is at least l_b > 0 long, so it holds points of two
+    # non-empty boundaries and has a midpoint
     for (i, j), border in sorted(cs.borders.items()):
-        if not cs.neighbor_matrix[i, j] or border.midpoint is None:
-            continue
-        if i not in center_id or j not in center_id:
+        if not cs.neighbor_matrix[i, j]:
             continue
         mid_pos = border.midpoint[:2]
         mid_id = add_vertex(mid_pos, VertexKind.BORDER_MID)
         for c in (center_id[i], center_id[j]):
             edges.append((c, mid_id, float(np.linalg.norm(positions[c] - mid_pos))))
 
-    for i in range(cs.n_c):
-        if i not in center_id:
-            continue
-        cluster = cs.cluster_points(i)
-        if len(cluster) < 2:
-            continue
+    for i, c in center_id.items():
         try:
-            line = fit_principal_line(cluster)
+            line = fit_principal_line(cs.cluster_points(i))
         except DegenerateCluster:
             continue
         for end in line_boundary_intersections(line, cs.boundaries[i]):
-            dists = [np.linalg.norm(p - end) for p in positions]
-            if dists and min(dists) <= d_min:
+            # positions holds this cluster's center, so the minimum exists
+            if min(np.linalg.norm(p - end) for p in positions) <= d_min:
                 continue
-            c = center_id[i]
             vid = add_vertex(end.copy(), VertexKind.BAR_END)
             edges.append((c, vid, float(np.linalg.norm(positions[c] - end))))
 

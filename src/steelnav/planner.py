@@ -73,8 +73,8 @@ class Footprint:
 @dataclass(frozen=True)
 class RrtParams:
     step: float
+    goal_tol: float
     theta_step: float = 0.3
-    goal_tol: float = 0.02
     goal_bias: float = 0.1
     max_iters: int = 5000
 

@@ -148,15 +148,13 @@ def _logsumexp_components(log_prob, buf, top):
     np.exp(buf, out=buf)
     np.putmask(buf, top, 0.0)
     s = buf.sum(axis=0)
-    if np.count_nonzero(top) == log_prob.shape[1]:
-        # One maximum per column (a NaN column has none, but a NaN makes
-        # every M-step output NaN under either formula).  With m = 1,
-        # log1p(s / 1) + log(1) is log1p(s) bit for bit.
-        log_norm = np.log1p(s, out=s)
-        log_norm += a_max
-        return log_norm
-    m = np.count_nonzero(top, axis=0)
-    return np.log1p(s / m) + np.log(m) + a_max
+    m = top.sum(axis=0, dtype=float)
+    # in place, adding in the docstring's order so each float rounds as in it
+    s /= m
+    log_norm = np.log1p(s, out=s)
+    log_norm += np.log(m, out=m)
+    log_norm += a_max
+    return log_norm
 
 
 def _m_step(points, resp, floor, dx, dy, tmp):
@@ -269,7 +267,7 @@ def neighbor_stats(boundaries: list[Boundary], l_b: float, eps_border: float):
     borders: dict[tuple[int, int], Border] = {}
     for i in range(n_c):
         for j in range(i + 1, n_c):
-            border = cluster_border(boundaries[i], boundaries[j], eps_border, i, j)
+            border = cluster_border(boundaries[i], boundaries[j], eps_border)
             borders[(i, j)] = border
             if are_neighbors(border, l_b):
                 matrix[i, j] = matrix[j, i] = True

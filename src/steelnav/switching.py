@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import Boundary, center_closest
-from .cloud import PointCloud, RigidTransform, transform_point
+from .cloud import PointCloud, RigidTransform
 from .errors import DegenerateFrame, EmptyBoundary
 
 
@@ -181,7 +181,7 @@ def height_available(surface_centroid_cam: np.ndarray, t_cam_to_base: RigidTrans
     """True when the surface height in the base frame matches the robot base."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    p = transform_point(surface_centroid_cam, t_cam_to_base)
+    p = t_cam_to_base.apply(surface_centroid_cam)
     return abs(float(p[2]) - base_height) <= tol
 
 

@@ -208,6 +208,20 @@ class TestSolve:
         printed = json.loads(capsys.readouterr().out)
         assert printed["walk"] == ["0", "1", "b"]
 
+    @pytest.mark.parametrize("text", ["1 2 1.0\n01 3 1.0\n", "10 2 1.0\n1_0 3 1.0\n"])
+    def test_look_alike_tokens_are_distinct(self, tmp_path, capsys, text):
+        # "01" and "1_0" both parse as ints but are not canonical spellings,
+        # so every id stays a string and the two edges stay disjoint
+        path = self.write_edges(tmp_path, text)
+        assert run("solve", "--input", str(path), "--vs", "2", "--vt", "3") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_endpoints_follow_integer_file(self, tmp_path, capsys):
+        path = self.write_edges(tmp_path, "0 1 1.0\n1 3 1.0\n")
+        assert run("solve", "--input", str(path), "--vs", "0", "--vt", "03") == 0
+        assert json.loads(capsys.readouterr().out)["walk"] == [0, 1, 3]
+
 
 BAD_EDGE_LISTS = [
     ("0 1 abc\n", "line 1: could not convert"),

@@ -17,7 +17,6 @@ from steelnav import (
     passthrough_filter,
     project_to_2d,
     transform_cloud,
-    transform_point,
     voxel_downsample,
 )
 from steelnav import cloud
@@ -501,16 +500,16 @@ class TestRansacBitExact:
 class TestTransforms:
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(transform_point(p, RigidTransform.identity()), p)
+        np.testing.assert_allclose(RigidTransform.identity().apply(p), p)
 
     def test_seven_cm_offset(self):
         t = RigidTransform(np.eye(3), np.array([0.0, 0.0, -0.07]))
-        np.testing.assert_allclose(transform_point(np.zeros(3), t), [0, 0, -0.07])
+        np.testing.assert_allclose(t.apply(np.zeros(3)), [0, 0, -0.07])
 
     def test_rotation_about_z(self):
         r = np.array([[0.0, -1, 0], [1.0, 0, 0], [0.0, 0, 1]])
         t = RigidTransform(r, np.zeros(3))
-        np.testing.assert_allclose(transform_point(np.array([1.0, 0, 0]), t),
+        np.testing.assert_allclose(t.apply(np.array([1.0, 0, 0])),
                                    [0, 1, 0], atol=1e-9)
 
     def test_distance_preserving(self):
@@ -520,7 +519,7 @@ class TestTransforms:
                       [np.sin(theta), np.cos(theta), 0], [0, 0, 1.0]])
         t = RigidTransform(r, np.array([1.0, -2.0, 0.5]))
         pts = rng.uniform(-1, 1, (20, 3))
-        moved = np.array([transform_point(p, t) for p in pts])
+        moved = np.array([t.apply(p) for p in pts])
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d1 = np.linalg.norm(moved[:, None] - moved[None, :], axis=2)
         np.testing.assert_allclose(d0, d1, rtol=1e-9, atol=1e-9)

@@ -142,6 +142,20 @@ class TestBuildGraph:
                 float(np.linalg.norm(pos[u] - pos[v])))
             assert u != v
 
+    @pytest.mark.parametrize("shape", [Shape.CROSS, Shape.K, Shape.L, Shape.T, Shape.I])
+    def test_neighbor_borders_hold_both_clusters(self, shape):
+        # build_graph reads a neighbor border's midpoint and both centers
+        # without checking: each neighbor pair's border has >= 2 points
+        # drawn from two non-empty boundaries
+        cs, _ = segmented_shape(shape, seed=1)
+        pairs = list(zip(*np.nonzero(np.triu(cs.neighbor_matrix))))
+        assert pairs
+        for i, j in pairs:
+            assert len(cs.borders[(i, j)].points) >= 2
+            assert len(cs.boundaries[i]) and len(cs.boundaries[j])
+        g = build_graph(cs, d_min=0.1)
+        assert g.kinds.count(VertexKind.BORDER_MID) == len(pairs)
+
     def test_missing_neighbor_data_rejected(self):
         # boundaries, borders and the neighbor matrix are required fields,
         # so a ClusterSet without them never reaches build_graph

@@ -211,8 +211,8 @@ class TestLogsumexpRows:
             np.testing.assert_array_equal(logsumexp_rows(a), oracles._logsumexp_rows(a))
 
     def test_infinite_single_maximum(self):
-        # one maximum per row, so the tie-free formula runs; an infinite
-        # maximum minus itself must not warn
+        # one maximum per row, so m = 1 and the formula reduces to
+        # log1p(s) + max; an infinite maximum minus itself must not warn
         np.testing.assert_array_equal(
             logsumexp_rows(np.array([[-np.inf], [np.inf], [2.0]])),
             [-np.inf, np.inf, 2.0])
