@@ -400,22 +400,16 @@ def cluster_border(a: Boundary, b: Boundary, eps_border: float) -> Border:
     """Boundary points of each cluster within eps_border of the other's."""
     if not eps_border > 0:
         raise ValueError(f"eps_border must be > 0, got {eps_border}")
-    pts = []
-    if len(a) and len(b):
-        near = _dist(a.points[:, None, :], b.points[None, :, :]) <= eps_border
-        pts.append(a.points[near.any(axis=1)])
-        pts.append(b.points[near.any(axis=0)])
-    if pts:
-        merged = _unique_rows(np.vstack(pts))
-    else:
-        merged = np.zeros((0, a.points.shape[1] if len(a) else 2))
-    if len(merged) >= 2:
-        i, j = _scan_windows(merged, np.zeros(1, dtype=np.intp), np.array([len(merged)]))
-        length = float(np.linalg.norm(merged[i[0]] - merged[j[0]]))
-    else:
-        length = 0.0
-    midpoint = merged.mean(axis=0) if len(merged) else None
-    return Border(merged, length, midpoint)
+    # an empty side gives an empty mask on both sides
+    near = _dist(a.points[:, None, :], b.points[None, :, :]) <= eps_border
+    merged = _unique_rows(np.vstack([a.points[near.any(axis=1)],
+                                     b.points[near.any(axis=0)]]))
+    if len(merged) == 0:
+        return Border(merged, 0.0, None)
+    # a single point is its own farthest pair, (0, 0), at length 0
+    i, j = _scan_windows(merged, np.zeros(1, dtype=np.intp), np.array([len(merged)]))
+    return Border(merged, float(np.linalg.norm(merged[i[0]] - merged[j[0]])),
+                  merged.mean(axis=0))
 
 
 def are_neighbors(border: Border, l_b: float) -> bool:

@@ -201,9 +201,11 @@ def _parse_rows(lines, start, cols, sep, count):
     """
     rows = (line.split(sep) for line in map(str.strip, lines[start:])
             if line and line[0] != "#")
+    if count is not None:  # islice takes no count above sys.maxsize
+        rows = islice(rows, min(count, len(lines)))
     try:  # itemgetter raises IndexError on a row that is too short
         xyz = np.fromiter(map(float, chain.from_iterable(
-            map(itemgetter(*cols), islice(rows, count)))), dtype=float).reshape(-1, 3)
+            map(itemgetter(*cols), rows))), dtype=float).reshape(-1, 3)
     except (IndexError, ValueError):
         xyz = None
     if xyz is None or not np.isfinite(xyz).all():

@@ -53,12 +53,6 @@ class EmptyBoundary(SteelNavError):
     pass
 
 
-# --- switching -----------------------------------------------------------
-
-class DegenerateFrame(SteelNavError):
-    pass
-
-
 # --- segmentation --------------------------------------------------------
 
 class TooFewPoints(SteelNavError):
@@ -82,10 +76,6 @@ class UnknownVertex(SteelNavError):
 
 
 class OddCardinality(SteelNavError):
-    pass
-
-
-class Disconnected(SteelNavError):
     pass
 
 

@@ -53,13 +53,6 @@ class StructureGraph(Multigraph):
 class PrincipalLine:
     point: np.ndarray  # (2,) cluster mean
     direction: np.ndarray  # unit (2,)
-    eigenvalues: tuple[float, float] = (0.0, 0.0)  # (leading, minor)
-
-    @property
-    def anisotropy(self) -> float:
-        """Eigenvalue gap ratio; near 0 for isotropic clusters."""
-        lead, minor = self.eigenvalues
-        return (lead - minor) / lead if lead > 0 else 0.0
 
 
 def fit_principal_line(points: np.ndarray) -> PrincipalLine:
@@ -78,7 +71,7 @@ def fit_principal_line(points: np.ndarray) -> PrincipalLine:
     d = vecs[:, -1]
     if d[0] < 0 or (d[0] == 0 and d[1] < 0):
         d = -d
-    return PrincipalLine(mean, d, (float(vals[-1]), float(vals[0])))
+    return PrincipalLine(mean, d)
 
 
 def line_boundary_intersections(line: PrincipalLine, b) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,6 @@ class PibcChecker:
             raise ValueError(f"unknown rule {rule!r}")
         if m < 1:
             raise ValueError("m must be >= 1")
-        self.boundaries = boundaries
         self.n_candidates = min(n_candidates, len(boundaries))
         self.m = m
         self.rule = rule
@@ -314,10 +313,6 @@ def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
 class RoutePlanResult:
     paths: list[MotionPath]
     failures: list[EdgePlanFailure]
-
-    @property
-    def all_succeeded(self) -> bool:
-        return not self.failures
 
     def to_json(self):
         return {

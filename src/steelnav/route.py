@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Disconnected,
     DisconnectedEndpoints,
     EmptyGraph,
     OddCardinality,
@@ -140,8 +139,6 @@ def _path_edges(pred, src, dst):
     out = []
     v = dst
     while v != src:
-        if pred[v] is None:
-            raise Disconnected(f"no path to {dst!r}")
         u, idx = pred[v]
         out.append(idx)
         v = u
@@ -157,19 +154,19 @@ def min_weight_pairing(odd, metric):
     """Minimum-weight perfect pairing of `odd` under distance map `metric`.
 
     Exact bitmask DP up to 16 vertices; greedy nearest-pair with 2-opt
-    swap improvement beyond.  metric[(u, v)] must be finite for all pairs.
+    swap improvement beyond.  A pair with no finite metric[(u, v)] raises
+    DisconnectedEndpoints.
     """
     odd = sorted(odd)
     n = len(odd)
     if n % 2 != 0:
         raise OddCardinality(f"odd set has odd cardinality {n}")
-    if n == 0:
-        return [], 0.0
 
     def d(i, j):
         val = metric[(odd[i], odd[j])]
         if not np.isfinite(val):
-            raise Disconnected(f"no finite distance between {odd[i]!r} and {odd[j]!r}")
+            raise DisconnectedEndpoints(
+                f"no finite distance between {odd[i]!r} and {odd[j]!r}")
         return val
 
     if n <= _MATCHING_DP_LIMIT:
@@ -244,23 +241,24 @@ def connected_components(vertices, pairs) -> list[set]:
     return components
 
 
-def _check_connected(mg: Multigraph, endpoints):
-    """All edge-bearing vertices plus the endpoints must share one component."""
-    relevant = {v for v, dg in mg.degrees().items() if dg > 0} | set(endpoints)
-    if not any(relevant <= comp for comp in
-               connected_components(mg.vertices, (e[:2] for e in mg.edges))):
-        raise DisconnectedEndpoints(
-            "endpoints and edge-bearing vertices are not in one component")
-
-
 def _check_trail_input(mg: Multigraph, v_s, v_t):
-    """Known endpoints, at least one edge, and one component to cover."""
+    """Known endpoints, at least one edge, and one component to cover.
+
+    The endpoints and every edge-bearing vertex must share one component.
+    A connected graph has a T-join for every even T (Edmonds & Johnson
+    1973), so past this check every pair of T has a finite distance and
+    a duplication subset exists.
+    """
     vset = set(mg.vertices)
     if v_s not in vset or v_t not in vset:
         raise UnknownVertex(f"unknown endpoint {v_s!r} or {v_t!r}")
     if not mg.edges:
         raise EmptyGraph("graph has no edges")
-    _check_connected(mg, (v_s, v_t))
+    relevant = {v for v, dg in mg.degrees().items() if dg > 0} | {v_s, v_t}
+    if not any(relevant <= comp for comp in
+               connected_components(mg.vertices, (e[:2] for e in mg.edges))):
+        raise DisconnectedEndpoints(
+            "endpoints and edge-bearing vertices are not in one component")
 
 
 def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
@@ -326,7 +324,7 @@ def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
             stack.append(v)
     walk.reverse()
 
-    if not all(used) or walk[0] != v_s or walk[-1] != v_t:
+    if not all(used) or walk[-1] != v_t:
         raise ParityViolation("failed to extract a complete trail")
 
     visits = [0] * len(mg.edges)
@@ -356,7 +354,7 @@ def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
 
     t = odd_vertices(mg) ^ {v_s} ^ {v_t}
     m = len(mg.edges)
-    best_mask, best_extra = None, float("inf")
+    best_mask, best_extra = 0, float("inf")
     for mask in range(1 << m):
         odd = set()
         extra = 0.0
@@ -367,8 +365,6 @@ def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
                 extra += w
         if extra < best_extra and odd == t:
             best_mask, best_extra = mask, extra
-    if best_mask is None:
-        raise Disconnected("no feasible duplication subset")
 
     duplicated = tuple(
         (mg.edges[i][0], mg.edges[i][1], mg.edges[i][2], i)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .boundary import Boundary, center_closest
 from .cloud import PointCloud, RigidTransform
-from .errors import DegenerateFrame, EmptyBoundary
+from .errors import EmptyBoundary
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,9 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
     out = []
     for anchor in anchors:
         v = anchor - centroid
-        if np.linalg.norm(v) < 1e-12:
-            raise DegenerateFrame("anchor coincides with the centroid")
         v_in_plane = v - (v @ e_z) * e_z
         if np.linalg.norm(v_in_plane) < 1e-12:
-            continue  # anchor offset parallel to the normal, no in-plane frame
+            continue  # anchor at or straight above the centroid: no in-plane frame
         e_x = _unit(v_in_plane)
         e_y = np.cross(e_z, e_x)
 

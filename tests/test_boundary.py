@@ -627,6 +627,16 @@ class TestClusterBorderOracle:
         # the last merges all 210 points, more than one block of the pair scan
         assert len(merged) ** 2 > bd._BLOCK_ELEMS
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_point(self, dim):
+        # the two sets share one point and are otherwise farther than eps apart
+        a = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0]])
+        if dim == 3:
+            a, b = np.column_stack([a, np.ones(3)]), np.column_stack([b, np.ones(3)])
+        # the oracle gives that point length 0.0 and makes it the midpoint
+        assert np.array_equal(self.check(a, b, 0.5), b[:1])
+
     def test_pairs_exactly_eps_apart(self):
         y = np.arange(9) * 0.25
         a = np.column_stack([np.zeros_like(y), y])

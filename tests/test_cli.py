@@ -106,6 +106,22 @@ class TestSwitching:
         assert run("switching", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(out)) == 1
 
+    def test_anchor_at_centroid_is_skipped(self, tmp_path):
+        # the fifth point is the centroid, and the boundary holds all five,
+        # so the nearest anchor gives no in-plane frame and is skipped
+        cloud = tmp_path / "square.csv"
+        cloud.write_text("0,0,0\n10,0,0\n0,10,0\n10,10,0\n5,5,0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundary": {"alpha_s": 1.0}}))
+        out = tmp_path / "sw"
+        assert run("switching", "--input", str(cloud), "--config", str(cfg),
+                   "--out", str(out)) == 0
+        payload = read_json(out / "switching.json")
+        assert len(payload["boundary"]["points"]) == 5
+        assert payload["decision"]["mode"] == "stop"
+        anchors = [c["anchor"] for c in payload["candidate_rectangles"]]
+        assert len(anchors) == 4 and [5.0, 5.0, 0.0] not in anchors
+
 
 class TestNavigate:
     def test_full_pipeline(self, l_cloud, tmp_path):
@@ -263,6 +279,10 @@ PLY_HEADER = "ply\nformat ascii 1.0\n{}\nproperty float x\nend_header\n"
     ("bom.csv", b"\xef\xbb\xbf0,0,0\n\xff", "bom.csv is not UTF-8 text (byte 9)"),
     ("bin.ply", b"ply\nformat binary_little_endian 1.0\n\xff\x00\n",
      "bin.ply is not UTF-8 text"),
+    # a vertex count above sys.maxsize
+    ("big.ply", "ply\nformat ascii 1.0\nelement vertex 99999999999999999999\n"
+     "property float x\nproperty float y\nproperty float z\nend_header\n"
+     "0 0 0\n1 0 0\n0 1 0\n", "expected 99999999999999999999 vertices, got 3"),
 ])
 def test_bad_input_is_one_error_line(command, name, text, message, tmp_path, capsys):
     cloud = tmp_path / name
@@ -308,6 +328,11 @@ BAD_CONFIGS = [
     # accepted as positive, but too small for the coordinates
     ({"cloud": {"voxel_leaf": 1e-300}}, "leaf 1e-300 is too small"),
     ({"boundary": {"alpha_s": 1e-300}}, "alpha_s 1e-300 is too small"),
+    # integers beyond the float range
+    ({"foot": {"width": 10**400}}, "foot.width must be a finite number, got 1000"),
+    ({"height": {"base_height": -10**400}}, "height.base_height must be a finite number"),
+    ({"transform": {"translation": [0, 10**400, 0]}}, "transform.translation must be a list"),
+    ({"cloud": {"passthrough": {"axis": "z", "lo": 0, "hi": 10**400}}}, "lo and hi"),
 ]
 
 
@@ -323,6 +348,15 @@ def test_bad_config_value_is_one_error_line(command, config, message, tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not out.exists()
+
+
+def test_huge_integer_seed_runs(tmp_path):
+    # an integer leaf is never converted to float, so its size is unbounded
+    cloud = TestSwitching().write_plane(tmp_path, z=0.0, n=500)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 10**400}))
+    assert run("switching", "--input", str(cloud), "--config", str(cfg),
+               "--out", str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("command", ["switching", "navigate"])

@@ -43,14 +43,6 @@ class TestFitPrincipalLine:
         assert line.direction[0] > 0 or (
             line.direction[0] == 0 and line.direction[1] > 0)
 
-    def test_anisotropy_gap(self):
-        rng = np.random.default_rng(0)
-        disk = rng.normal(0.0, 1.0, (2000, 2))
-        bar = np.column_stack([rng.uniform(-1, 1, 2000),
-                               rng.normal(0, 0.02, 2000)])
-        assert fit_principal_line(disk).anisotropy < 0.2
-        assert fit_principal_line(bar).anisotropy > 0.9
-
     def test_degenerate(self):
         with pytest.raises(DegenerateCluster):
             fit_principal_line(np.array([[1.0, 1.0]]))

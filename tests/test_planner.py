@@ -360,7 +360,7 @@ class TestPlanRoute:
         fp = Footprint(width=0.1, length=0.12)
         params = RrtParams(step=0.02, goal_tol=0.01)
         result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)
-        assert result.all_succeeded
+        assert not result.failures
         assert [p.edge_ref for p in result.paths] == [(0, 1)]
         # chained: nothing to chain with one edge, but the path must end
         # near the (nudged) goal end of the bar
@@ -376,7 +376,7 @@ class TestPlanRoute:
         fp = Footprint(width=0.1, length=0.12)
         params = RrtParams(step=0.02, goal_tol=0.01, max_iters=500)
         result = plan_route(route, g, PibcChecker([b], rule="any"), fp, params, seed=0)
-        assert not result.all_succeeded
+        assert result.failures
         failed_edges = {f.edge for f in result.failures}
         assert (1, 2) in failed_edges
         assert [p.edge_ref for p in result.paths] == [(0, 1)]

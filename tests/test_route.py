@@ -102,6 +102,11 @@ class TestMinWeightPairing:
         with pytest.raises(OddCardinality):
             min_weight_pairing([1, 2, 3], {})
 
+    def test_no_finite_distance(self):
+        inf = float("inf")
+        with pytest.raises(DisconnectedEndpoints):
+            min_weight_pairing([1, 2], {(1, 2): inf, (2, 1): inf})
+
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_matches_enumeration(self, n):
         items = list(range(n))
