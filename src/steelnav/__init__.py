@@ -52,7 +52,6 @@ from .switching import (
     Mode,
     SurfacePose,
     SwitchDecision,
-    area_check_and_pose,
     height_available,
     plane_available,
     switch_decision,
@@ -71,7 +70,7 @@ __all__ = [
     "Multigraph", "RoutePlan", "brute_force_ocpp", "dijkstra", "euler_trail",
     "min_weight_pairing", "vocpp",
     "ClusterSet", "GmmModel", "em_gmm_fit", "segment_structure",
-    "FootParams", "Mode", "SurfacePose", "SwitchDecision", "area_check_and_pose",
-    "height_available", "plane_available", "switch_decision",
+    "FootParams", "Mode", "SurfacePose", "SwitchDecision", "height_available",
+    "plane_available", "switch_decision",
     "Shape", "StructureSpec", "degrade", "generate",
 ]

@@ -34,11 +34,12 @@ class Boundary:
     alpha_s: float
 
     def __post_init__(self):
+        center = np.asarray(self.center, dtype=float)
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
-            pts = pts.reshape(0, 2)
+            pts = pts.reshape(0, len(center))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "center", center)
 
     def __len__(self):
         return self.points.shape[0]

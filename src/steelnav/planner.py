@@ -288,6 +288,28 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
     raise NoPathFound(f"no path after {params.max_iters} iterations")
 
 
+def _straight_path(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
+                   step: float) -> MotionPath | None:
+    """The straight path from start to goal, or None where the checker blocks it.
+
+    The nodes are start, the interior rows of `_interp_segment(start, goal,
+    step)` and goal itself: the last row need not round to goal.  Every node
+    passes `check`, and every node-to-node segment passes the step/2 test an
+    RRT extension makes, one segment per `points_inside` call.  start is
+    taken as checked: `plan_route` passes nudged endpoints.
+    """
+    a, b = (start.x, start.y, start.theta), (goal.x, goal.y, goal.theta)
+    nodes = [start, *(Config(*s) for s in _interp_segment(a, b, step)[:-1].tolist())]
+    if goal != start:
+        nodes.append(goal)
+    for p, q in zip(nodes, nodes[1:]):
+        segment = _interp_segment((p.x, p.y, p.theta), (q.x, q.y, q.theta), step / 2.0)
+        if not (checker.check(q, fp) and
+                checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all()):
+            return None
+    return MotionPath(tuple(nodes), edge_ref=())
+
+
 def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
                  checker: PibcChecker, fp: Footprint, max_frac: float = 0.6):
     """Pull an edge endpoint inward along the edge until PIBC-valid.
@@ -327,10 +349,11 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
     """Plan one motion path per consecutive walk pair, chained end to start.
 
     `g` is the structure graph: `g.positions[v]` places walk vertex v.
-    `checker` is the run's one PIBC checker, used for the endpoints and
-    by every `rrt_plan` call.  Edges whose planning fails are reported
-    and skipped; the remaining edges are still planned so the failure set
-    plus the success set always covers the route.
+    `checker` is the run's one PIBC checker, used for the endpoints, the
+    straight path tried first and every `rrt_plan` call.  RRT runs only
+    where the straight path is blocked.  Edges whose planning fails are
+    reported and skipped; the remaining edges are still planned so the
+    failure set plus the success set always covers the route.
     """
     pos = g.positions
     paths: list[MotionPath] = []
@@ -348,14 +371,17 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
             failures.append(EdgePlanFailure((u, v), f"no valid {which} configuration"))
             prev_end = None
             continue
-        path = None
+        # connect first; a budget of 0 iterations plans no motion at all
+        path = (_straight_path(start, goal, checker, fp, params.step)
+                if params.max_iters > 0 else None)
         # a narrow corridor can stall RRT for an unlucky seed; retry with
         # derived seeds before reporting the edge as failed (deterministic)
         for attempt in range(3):
+            if path is not None:
+                break
             try:
                 path = rrt_plan(start, goal, checker, fp, params,
                                 seed=seed + i + 9973 * attempt)
-                break
             except NoPathFound:
                 pass
         if path is None:

@@ -167,13 +167,6 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
     return out
 
 
-def area_check_and_pose(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
-                        fp: FootParams) -> SurfacePose | None:
-    """First passing anchor wins; None means no sufficient area."""
-    candidates = area_check_candidates(b, centroid, normal, fp)
-    return next((c.pose for c in candidates if c.passed), None)
-
-
 def height_available(surface_centroid_cam: np.ndarray, t_cam_to_base: RigidTransform,
                      base_height: float, tol: float) -> bool:
     """True when the surface height in the base frame matches the robot base."""

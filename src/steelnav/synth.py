@@ -17,6 +17,12 @@ from .cloud import Frame, PointCloud
 from .errors import InvalidSpec
 
 
+# NumPy's array limit for a rectangle's (n, 2) float64 samples: their size
+# in bytes must fit an intp.  Counts below it that exceed memory are not
+# bounded here.
+_MAX_POINTS = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
+
+
 class Shape(enum.Enum):
     CROSS = "cross"
     K = "k"
@@ -173,6 +179,9 @@ def generate(spec: StructureSpec) -> tuple[PointCloud, GroundTruth]:
     labels = []
     for idx, rect in enumerate(rects):
         n = max(int(round(spec.density * rect.area)), 1)
+        if n > _MAX_POINTS:
+            raise InvalidSpec(f"density {spec.density!r} gives more points in one "
+                              f"rectangle than a NumPy array holds ({_MAX_POINTS})")
         local = rng.uniform([-rect.length / 2, -rect.width / 2],
                             [rect.length / 2, rect.width / 2], size=(n, 2))
         cos, sin = math.cos(rect.angle), math.sin(rect.angle)

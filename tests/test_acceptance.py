@@ -21,7 +21,6 @@ from steelnav import (
     RigidTransform,
     Shape,
     StructureSpec,
-    area_check_and_pose,
     brute_force_ocpp,
     build_graph,
     dijkstra,
@@ -38,6 +37,7 @@ from steelnav.cli import main as cli_main
 from steelnav.planner import PibcChecker, footprint_points
 from steelnav.route import augment_for_open_trail
 from steelnav.segmentation import em_gmm_fit
+from steelnav.switching import area_check_candidates
 
 from oracles import (
     RectScene,
@@ -257,14 +257,15 @@ class TestCriterion8AreaPose:
         return ncbe(pts, max(side / 20, 0.01)), pts.mean(axis=0)
 
     def test_pose_and_modes(self):
-        b, centroid = self.plane(1.0, 8000)
-        pose = area_check_and_pose(b, centroid, np.array([0.0, 0, 1]),
-                                   self.FOOT)
+        def first_pose(b, centroid):
+            # the pose of the first passing candidate, as `cli` picks it
+            return next((c.pose for c in area_check_candidates(
+                b, centroid, np.array([0.0, 0, 1]), self.FOOT) if c.passed), None)
+
+        pose = first_pose(*self.plane(1.0, 8000))
         ok = pose is not None and pose.orthonormality_residual() <= 1e-6
 
-        small_b, small_c = self.plane(0.05, 500)
-        small_pose = area_check_and_pose(small_b, small_c,
-                                         np.array([0.0, 0, 1]), self.FOOT)
+        small_pose = first_pose(*self.plane(0.05, 500))
         ok &= small_pose is None
 
         # a surface 7 cm below the base with 1 cm tolerance fails the

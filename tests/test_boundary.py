@@ -637,6 +637,17 @@ class TestClusterBorderOracle:
         # the oracle gives that point length 0.0 and makes it the midpoint
         assert np.array_equal(self.check(a, b, 0.5), b[:1])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_side(self, dim):
+        # an empty boundary takes its dimension from its center
+        pts = np.random.default_rng(40).uniform(0, 1, (20, dim))
+        empty = Boundary([], np.zeros(dim), 0.1)
+        full = Boundary(pts, pts.mean(axis=0), 0.1)
+        for a, b in ((empty, full), (full, empty)):
+            got = cluster_border(a, b, 0.5)
+            assert got.points.shape == (0, dim)
+            assert got.length == 0.0 and got.midpoint is None
+
     def test_pairs_exactly_eps_apart(self):
         y = np.arange(9) * 0.25
         a = np.column_stack([np.zeros_like(y), y])

@@ -377,6 +377,8 @@ def test_negative_seed_flag_is_one_error_line(command, tmp_path, capsys):
     ("--seed", "-1", "seed must be >= 0"),
     ("--noise", "nan", "must be finite"),
     ("--density", "-5", "density must be positive"),
+    # more points in one rectangle than a NumPy array holds
+    ("--density", "1e300", "density 1e+300 gives more points"),
 ])
 def test_bad_synth_argument_is_one_error_line(flag, value, message, tmp_path, capsys):
     out = tmp_path / "scene"

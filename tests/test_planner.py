@@ -26,6 +26,7 @@ from steelnav.errors import (
 )
 from steelnav import planner
 from steelnav.planner import (
+    MotionPath,
     PibcChecker,
     _interp_segment,
     _samples,
@@ -380,3 +381,62 @@ class TestPlanRoute:
         failed_edges = {f.edge for f in result.failures}
         assert (1, 2) in failed_edges
         assert [p.edge_ref for p in result.paths] == [(0, 1)]
+
+
+class TestStraightConnect:
+    """plan_route tries the checked straight path before any RRT call."""
+
+    FP = Footprint(width=0.04, length=0.05)
+    PARAMS = RrtParams(step=0.02, goal_tol=0.01, max_iters=3000)
+
+    @staticmethod
+    def segment_ok(checker, p, q, fp, spacing):
+        seg = _interp_segment((p.x, p.y, p.theta), (q.x, q.y, q.theta), spacing)
+        return bool(checker.points_inside(segment_footprints(seg, fp).reshape(-1, 2)).all())
+
+    def test_straight_bar_runs_no_rrt(self, monkeypatch):
+        def no_rrt(*args, **kwargs):
+            raise AssertionError("rrt_plan called on a straight bar")
+
+        monkeypatch.setattr(planner, "rrt_plan", no_rrt)
+        b, _ = corridor_boundary()
+        g = structure_graph([[-0.3, 0.0], [0.3, 0.0]], [(0, 1, 0.6)])
+        result = plan_route(vocpp(g, 0, 1), g, PibcChecker([b], rule="any"), self.FP,
+                            self.PARAMS, seed=0)
+        assert not result.failures
+        configs = result.paths[0].configs
+        assert configs[0] == Config(-0.3, 0.0, 0.0)
+        assert configs[-1] == Config(0.3, 0.0, 0.0)  # the goal itself, not a rounding of it
+        assert len(configs) == 31
+        fresh = PibcChecker([b], rule="any")
+        assert all(fresh.check(c, self.FP) for c in configs)
+        step = self.PARAMS.step
+        for p, q in zip(configs, configs[1:]):
+            assert math.dist((p.x, p.y), (q.x, q.y)) <= step * (1 + 1e-12)
+            assert self.segment_ok(fresh, p, q, self.FP, step / 2.0)
+
+    def test_corner_cut_falls_back_to_rrt(self):
+        # an L of two bars; the straight path from one arm to the other
+        # leaves both, so the step is RRT's, with plan_route's first seed
+        rng = np.random.default_rng(2)
+        arms = [rng.uniform([-0.5, -0.07], [0.07, 0.07], (2000, 2)),
+                rng.uniform([-0.07, -0.07], [0.07, 0.5], (2000, 2))]
+        checker = PibcChecker([ncbe(a, 0.02) for a in arms], rule="any")
+        g = structure_graph([[-0.35, 0.0], [0.0, 0.35]], [(0, 1, 0.7)])
+        seed = 5
+        result = plan_route(vocpp(g, 0, 1), g, checker, self.FP, self.PARAMS, seed=seed)
+        assert not result.failures
+        start, goal = Config(-0.35, 0.0, math.pi / 4), Config(0.0, 0.35, math.pi / 4)
+        assert planner._straight_path(start, goal, checker, self.FP, self.PARAMS.step) is None
+        want = rrt_plan(start, goal, checker, self.FP, self.PARAMS, seed=seed)  # step 0, attempt 0
+        assert result.paths == [MotionPath(want.configs, (0, 1))]
+
+    def test_zero_budget_plans_no_motion(self):
+        b, _ = corridor_boundary()
+        checker = CountingChecker([b], rule="any")
+        g = structure_graph([[-0.3, 0.0], [0.3, 0.0]], [(0, 1, 0.6)])
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=0)
+        result = plan_route(vocpp(g, 0, 1), g, checker, self.FP, params, seed=0)
+        assert not result.paths
+        assert [(f.edge, f.reason) for f in result.failures] == [((0, 1), "NoPathFound")]
+        assert checker.calls == 2  # the start and the goal check, nothing more

@@ -10,7 +10,6 @@ from steelnav import (
     PointCloud,
     RigidTransform,
     SurfacePose,
-    area_check_and_pose,
     height_available,
     ncbe,
     plane_available,
@@ -23,6 +22,12 @@ from steelnav.errors import EmptyBoundary
 PAPER_FOOT = FootParams(width=0.2, length=0.3, tolerance=0.02,
                         n_anchors=5, m_neighbors=3)
 Z_NORMAL = np.array([0.0, 0.0, 1.0])
+
+
+def first_pose(b, centroid, normal, fp):
+    """The pose of the first passing candidate, as `cli` picks it; None if none passes."""
+    return next((c.pose for c in area_check_candidates(b, centroid, normal, fp)
+                 if c.passed), None)
 
 
 def plane_boundary(side, n=8000, seed=0, z=0.0):
@@ -48,13 +53,13 @@ class TestPlaneAvailable:
 class TestAreaCheck:
     def test_sufficient_square(self):
         b, centroid = plane_boundary(1.0)
-        pose = area_check_and_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
+        pose = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
         assert pose is not None
         assert pose.orthonormality_residual() <= 1e-6
 
     def test_insufficient_square(self):
         b, centroid = plane_boundary(0.05, n=500)
-        pose = area_check_and_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
+        pose = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
         assert pose is None
 
     def test_circle_anchor_frame(self):
@@ -102,9 +107,8 @@ class TestAreaCheck:
         shift = np.array([2.0, -1.0, 0.5])
         b2 = Boundary(b.points @ rot.T + shift, rot @ b.center + shift,
                       b.alpha_s)
-        pose1 = area_check_and_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
-        pose2 = area_check_and_pose(b2, rot @ centroid + shift,
-                                    rot @ Z_NORMAL, PAPER_FOOT)
+        pose1 = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
+        pose2 = first_pose(b2, rot @ centroid + shift, rot @ Z_NORMAL, PAPER_FOOT)
         assert (pose1 is None) == (pose2 is None)
         if pose1 is not None:
             np.testing.assert_allclose(rot @ pose1.position + shift,
@@ -125,7 +129,7 @@ class TestAreaCheck:
     def test_empty_boundary(self):
         b = Boundary(np.zeros((0, 3)), np.zeros(3), 0.05)
         with pytest.raises(EmptyBoundary):
-            area_check_and_pose(b, np.zeros(3), Z_NORMAL, PAPER_FOOT)
+            area_check_candidates(b, np.zeros(3), Z_NORMAL, PAPER_FOOT)
 
 
 class TestHeightAvailable:
