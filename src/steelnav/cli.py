@@ -316,9 +316,9 @@ def run_synth(shape, out_dir: Path, bar_length, bar_width, density, noise, seed)
     spec = synth.StructureSpec(synth.Shape(shape), bar_length, bar_width,
                                density, noise, seed)
     cloud, truth = synth.generate(spec)
-    lines = [",".join(repr(float(c)) for c in p) for p in cloud.points]
+    text = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in cloud.points.tolist())
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "cloud.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "cloud.csv").write_text(text)
     _write_json(out_dir / "ground_truth.json", truth.to_json())
 
 

@@ -18,8 +18,8 @@ from .errors import InvalidSpec
 
 
 # NumPy's array limit for a rectangle's (n, 2) float64 samples: their size
-# in bytes must fit an intp.  Counts below it that exceed memory are not
-# bounded here.
+# in bytes must fit an intp.  A count below it whose samples cannot be
+# allocated is refused as well; no memory bound is set here.
 _MAX_POINTS = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
 
 
@@ -153,7 +153,7 @@ def _build_shape(spec: StructureSpec):
     elif spec.shape is Shape.I:
         # two junction squares joined by one bar, each with stub flanges
         stub = length / 3.0
-        top = np.array([0.0, hub + length / 2.0 + hub])
+        top = np.array([0.0, hub + length / 2.0])
         bot = -top
         mid_bar = BarRect(origin, length, w, math.pi / 2)
         rects = [mid_bar, square(top), square(bot)]
@@ -182,8 +182,12 @@ def generate(spec: StructureSpec) -> tuple[PointCloud, GroundTruth]:
         if n > _MAX_POINTS:
             raise InvalidSpec(f"density {spec.density!r} gives more points in one "
                               f"rectangle than a NumPy array holds ({_MAX_POINTS})")
-        local = rng.uniform([-rect.length / 2, -rect.width / 2],
-                            [rect.length / 2, rect.width / 2], size=(n, 2))
+        try:
+            local = rng.uniform([-rect.length / 2, -rect.width / 2],
+                                [rect.length / 2, rect.width / 2], size=(n, 2))
+        except MemoryError:
+            raise InvalidSpec(f"density {spec.density!r} gives more points in one "
+                              f"rectangle ({n}) than memory holds") from None
         cos, sin = math.cos(rect.angle), math.sin(rect.angle)
         world = local @ np.array([[cos, sin], [-sin, cos]]) + rect.center
         pts.append(world)

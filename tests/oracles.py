@@ -18,8 +18,10 @@ The slicing boundary estimator that prunes and scans one window at a time
 (with the package's bounds, fan prune and pair scan) is kept verbatim,
 but for names, as the bit-exact reference for the package's batched pass,
 and the row parser that converts one row at a time as the reference for
-its bulk parser.  The RRT samples drawn from one block of 4n doubles are
-the reference for the planner's, drawn in blocks of a fixed size.
+its bulk parser, as is the `cloud.csv` formatter that converts one NumPy
+element at a time for synth's.  The RRT samples drawn from one block of 4n
+doubles are the reference for the planner's, drawn in blocks of a fixed
+size.
 """
 import math
 from dataclasses import dataclass
@@ -422,6 +424,12 @@ def per_row_parse_rows(lines, start, cols, sep, count):
     if count is not None and len(pts) != count:
         raise ParseError(f"expected {count} vertices, got {len(pts)}")
     return pts
+
+
+def per_element_cloud_csv(points):
+    """`cloud.csv` text of an (n, 3) array, one `repr(float(c))` per NumPy
+    element: the reference for synth's formatter over Python floats."""
+    return "\n".join(",".join(repr(float(c)) for c in p) for p in points) + "\n"
 
 
 def log_gaussians(points, means, covariances):

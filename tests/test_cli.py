@@ -11,6 +11,8 @@ import pytest
 import steelnav
 from steelnav.cli import load_edge_list, main
 
+import oracles
+
 NAV_ARTIFACTS = [
     "cloud.json", "clusters.json", "graph.json", "route.json", "motion.json",
     "cloud.svg", "segmentation.svg", "graph.svg", "route.svg", "motion.svg",
@@ -52,6 +54,16 @@ class TestSynthCommand:
         assert len(rows) == len(truth["labels"])
         assert all(len(r.split(",")) == 3 for r in rows[:10])
         assert truth["schema_version"] == 1
+
+    @pytest.mark.parametrize("shape", [s.value for s in steelnav.Shape])
+    def test_cloud_csv_matches_per_element_formatter(self, shape, tmp_path):
+        out = tmp_path / "s"
+        assert run("synth", "--shape", shape, "--out", str(out), "--density", "1000",
+                   "--noise", "0.003", "--seed", "2") == 0
+        cloud, _ = steelnav.generate(steelnav.StructureSpec(
+            steelnav.Shape(shape), density=1000, noise_sigma=0.003, seed=2))
+        assert (out / "cloud.csv").read_text() == \
+            oracles.per_element_cloud_csv(cloud.points)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -379,6 +391,8 @@ def test_negative_seed_flag_is_one_error_line(command, tmp_path, capsys):
     ("--density", "-5", "density must be positive"),
     # more points in one rectangle than a NumPy array holds
     ("--density", "1e300", "density 1e+300 gives more points"),
+    # an array NumPy could index but cannot allocate (1.39 EiB)
+    ("--density", "1e18", "density 1e+18 gives more points"),
 ])
 def test_bad_synth_argument_is_one_error_line(flag, value, message, tmp_path, capsys):
     out = tmp_path / "scene"

@@ -54,6 +54,19 @@ class TestGenerate:
         plan = vocpp(g, 0, truth.graph_edges[-1][1])  # raises if disconnected
         assert all(v >= 1 for v in plan.edge_visits)
 
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_truth_edges_lie_on_the_bars(self, shape):
+        # the structure graph's edges run along the sampled bars, so every
+        # point of every edge lies in some rectangle (its ends on a border)
+        _, truth = generate(StructureSpec(shape, density=1000, seed=0))
+        t = np.linspace(0.0, 1.0, 201)[:, None]
+        for u, v in truth.graph_edges:
+            a, b = truth.graph_vertices[u], truth.graph_vertices[v]
+            samples = a + t * (b - a)
+            inside = np.any([r.contains(samples, margin=-1e-9) for r in truth.rects],
+                            axis=0)
+            assert inside.all(), (u, v, samples[~inside])
+
     def test_junction_labels_are_squares(self):
         _, truth = generate(StructureSpec(Shape.CROSS, density=1000, seed=0))
         for idx in truth.cross_labels:
