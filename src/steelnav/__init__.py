@@ -56,7 +56,7 @@ from .switching import (
     plane_available,
     switch_decision,
 )
-from .synth import Shape, StructureSpec, degrade, generate
+from .synth import Shape, StructureSpec, generate
 
 __all__ = [
     "Border", "Boundary", "are_neighbors", "center_closest", "cluster_border",
@@ -72,5 +72,5 @@ __all__ = [
     "ClusterSet", "GmmModel", "em_gmm_fit", "segment_structure",
     "FootParams", "Mode", "SurfacePose", "SwitchDecision", "height_available",
     "plane_available", "switch_decision",
-    "Shape", "StructureSpec", "degrade", "generate",
+    "Shape", "StructureSpec", "generate",
 ]

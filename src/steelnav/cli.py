@@ -57,8 +57,6 @@ def _alpha_for(points, cfg) -> float:
 
 def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
     cloud = _preprocess(cl.load_cloud(input_path), cfg)
-
-    plane = None
     try:
         plane = cl.extract_plane_ransac(
             cloud,
@@ -106,25 +104,30 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
 
 def _render_switching_svg(path: Path, payload: dict):
     bound = payload["boundary"]
-    if bound is None or not bound["points"]:
+    if bound is None:
         path.write_text(svgplot.SvgCanvas(((0, 0), (1, 1))).render())
         return
     pts = np.asarray(bound["points"])[:, :2]
-    canvas = svgplot.SvgCanvas(svgplot.bounds_of(pts))
-    canvas.points(pts, radius=1.5, fill="#555555")
     centroid = payload["plane"]["centroid"][:2]
-    canvas.points([centroid], radius=4, fill="#000000")
-    for i, cand in enumerate(payload["candidate_rectangles"]):
-        col = "#2ca02c" if cand["passed"] else svgplot.color(i + 3)
-        corners = np.asarray(cand["corners"])[:, :2]
-        for a, b in ((0, 1), (1, 3), (3, 2), (2, 0)):
-            canvas.line(corners[a], corners[b], stroke=col, width=2.0)
+    corners = [np.asarray(c["corners"])[:, :2] for c in payload["candidate_rectangles"]]
+    drawn = [pts, [centroid], *corners]
     pose = payload["decision"]["pose"]
     if pose is not None:
         p = np.asarray(pose["position"][:2])
+        tips = p + 0.1 * np.asarray([pose["e_x"][:2], pose["e_y"][:2]])
+        drawn.append(tips)
+    # the figure spans every point it draws, so no position leaves the canvas
+    canvas = svgplot.SvgCanvas(svgplot.bounds_of(np.vstack(drawn)))
+    canvas.points(pts, radius=1.5, fill="#555555")
+    canvas.points([centroid], radius=4, fill="#000000")
+    for i, (cand, c) in enumerate(zip(payload["candidate_rectangles"], corners)):
+        col = "#2ca02c" if cand["passed"] else svgplot.color(i + 3)
+        for a, b in ((0, 1), (1, 3), (3, 2), (2, 0)):
+            canvas.line(c[a], c[b], stroke=col, width=2.0)
+    if pose is not None:
         canvas.points([p], radius=5, fill="#d62728")
-        canvas.arrow(p, p + 0.1 * np.asarray(pose["e_x"][:2]), stroke="#d62728")
-        canvas.arrow(p, p + 0.1 * np.asarray(pose["e_y"][:2]), stroke="#2ca02c")
+        canvas.arrow(p, tips[0], stroke="#d62728")
+        canvas.arrow(p, tips[1], stroke="#2ca02c")
     path.write_text(canvas.render())
 
 

@@ -352,9 +352,9 @@ def extract_plane_ransac(
     return PlanePatch(inliers, normal, offset, inliers.points.mean(axis=0))
 
 
-def transform_cloud(cloud: PointCloud, t: RigidTransform,
-                    frame: Frame = Frame.ROBOT_BASE) -> PointCloud:
-    return PointCloud(t.apply(cloud.points), frame)
+def transform_cloud(cloud: PointCloud, t: RigidTransform) -> PointCloud:
+    """The cloud moved by t, in the robot's base frame."""
+    return PointCloud(t.apply(cloud.points), Frame.ROBOT_BASE)
 
 
 def project_to_2d(cloud: PointCloud) -> PointCloud:

@@ -7,7 +7,7 @@ import math
 import operator
 from functools import reduce
 
-from .cloud import RigidTransform, read_text
+from .cloud import MAX_COORD, RigidTransform, read_text
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -45,6 +45,9 @@ _POSITIVE = ("> 0", lambda v: v > 0)
 _NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 _AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 _FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+# a foot or footprint size, bounded like a coordinate so that squared
+# distances stay finite
+_SIZE = (f"in (0, {MAX_COORD:g}]", lambda v: 0 < v <= MAX_COORD)
 
 # One row per leaf: dotted key -> (default, kind, bound).  A null default
 # makes the leaf nullable.  A bound is (text, predicate) and fails as
@@ -65,8 +68,8 @@ _KEYS = {
     "transform.translation": ([0.0, 0.0, 0.0], list, None),
     "height.base_height": (0.0, float, None),
     "height.tol": (0.005, float, _NON_NEGATIVE),
-    "foot.width": (0.2, float, _POSITIVE),
-    "foot.length": (0.3, float, _POSITIVE),
+    "foot.width": (0.2, float, _SIZE),
+    "foot.length": (0.3, float, _SIZE),
     "foot.tolerance": (0.02, float, _NON_NEGATIVE),
     "foot.n_anchors": (5, int, _AT_LEAST_ONE),
     "foot.m_neighbors": (3, int, _AT_LEAST_ONE),
@@ -82,8 +85,8 @@ _KEYS = {
     "graph.d_min": (None, float, _NON_NEGATIVE),  # null -> robot footprint length
     "route.v_s": (0, int, None),
     "route.v_t": (None, int, None),  # null -> highest vertex id
-    "planner.footprint_width": (0.04, float, _POSITIVE),
-    "planner.footprint_length": (0.05, float, _POSITIVE),
+    "planner.footprint_width": (0.04, float, _SIZE),
+    "planner.footprint_length": (0.05, float, _SIZE),
     "planner.step": (None, float, _POSITIVE),  # null -> footprint_width / 2
     "planner.theta_step": (0.3, float, _POSITIVE),
     "planner.goal_tol": (None, float, _NON_NEGATIVE),  # null -> footprint_width / 4

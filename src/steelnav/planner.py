@@ -171,6 +171,12 @@ class PibcChecker:
         return self._verdicts[key]
 
 
+def _segment_count(a, b, spacing: float) -> int:
+    """How many rows `_interp_segment(a, b, spacing)` returns, at least 1."""
+    d = np.array((b[0] - a[0], b[1] - a[1]))
+    return max(int(math.ceil(math.sqrt(d @ d) / spacing)), 1)  # np.linalg.norm's sum
+
+
 def _interp_segment(a, b, spacing: float) -> np.ndarray:
     """States from a (exclusive) to b (inclusive) at <= spacing apart, as rows.
 
@@ -179,11 +185,17 @@ def _interp_segment(a, b, spacing: float) -> np.ndarray:
     """
     ax, ay, ath = a
     dx, dy = b[0] - ax, b[1] - ay
-    d = np.array((dx, dy))
-    n = max(int(math.ceil(math.sqrt(d @ d) / spacing)), 1)  # np.linalg.norm's sum
+    n = _segment_count(a, b, spacing)
     dth = _wrap(b[2] - ath)
     return np.array([(ax + dx * t, ay + dy * t, _wrap(ath + dth * t))
                      for t in (i / n for i in range(1, n + 1))])
+
+
+def _segment_free(a, b, checker: PibcChecker, fp: Footprint, step: float) -> bool:
+    """The test of one RRT extension from state a to b: every footprint of
+    `_interp_segment(a, b, step / 2)` passes, in one `points_inside` call."""
+    segment = _interp_segment(a, b, step / 2.0)
+    return bool(checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all())
 
 
 def _samples(seed: int, n: int, goal_bias: float, lo: np.ndarray, hi: np.ndarray):
@@ -263,8 +275,7 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
         dth = max(-theta_step, min(theta_step, _wrap(sth - nth)))
         new = (nx + dx, ny + dy, _wrap(nth + dth))
 
-        segment = _interp_segment((nx, ny, nth), new, step / 2.0)
-        if not checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all():
+        if not _segment_free((nx, ny, nth), new, checker, fp, step):
             if to_goal:
                 goal_failed.add(ni)
             continue
@@ -294,35 +305,34 @@ def _straight_path(start: Config, goal: Config, checker: PibcChecker, fp: Footpr
 
     The nodes are start, the interior rows of `_interp_segment(start, goal,
     step)` and goal itself: the last row need not round to goal.  Every node
-    passes `check`, and every node-to-node segment passes the step/2 test an
-    RRT extension makes, one segment per `points_inside` call.  start is
-    taken as checked: `plan_route` passes nudged endpoints.
+    passes `check`, and every node-to-node segment passes `_segment_free`,
+    the test an RRT extension makes.  start is taken as checked:
+    `plan_route` passes nudged endpoints.
     """
     a, b = (start.x, start.y, start.theta), (goal.x, goal.y, goal.theta)
     nodes = [start, *(Config(*s) for s in _interp_segment(a, b, step)[:-1].tolist())]
     if goal != start:
         nodes.append(goal)
     for p, q in zip(nodes, nodes[1:]):
-        segment = _interp_segment((p.x, p.y, p.theta), (q.x, q.y, q.theta), step / 2.0)
-        if not (checker.check(q, fp) and
-                checker.points_inside(segment_footprints(segment, fp).reshape(-1, 2)).all()):
+        if not (checker.check(q, fp) and _segment_free(
+                (p.x, p.y, p.theta), (q.x, q.y, q.theta), checker, fp, step)):
             return None
     return MotionPath(tuple(nodes), edge_ref=())
 
 
 def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
-                 checker: PibcChecker, fp: Footprint, max_frac: float = 0.6):
+                 checker: PibcChecker, fp: Footprint):
     """Pull an edge endpoint inward along the edge until PIBC-valid.
 
     Graph vertices at bar ends sit on the boundary itself, where a
     centered footprint necessarily sticks out; stepping toward the edge
-    interior recovers a valid via configuration.
+    interior, at most 60 % of the way, recovers a valid via configuration.
     """
     span = float(np.linalg.norm(toward - pos))
     direction = (toward - pos) / max(span, 1e-12)  # a zero-length edge checks pos alone
     step = fp.length / 4.0
     offset = 0.0
-    while offset <= max_frac * span:
+    while offset <= 0.6 * span:
         p = pos + offset * direction
         c = Config(p[0], p[1], theta)
         if checker.check(c, fp):
@@ -350,10 +360,12 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
 
     `g` is the structure graph: `g.positions[v]` places walk vertex v.
     `checker` is the run's one PIBC checker, used for the endpoints, the
-    straight path tried first and every `rrt_plan` call.  RRT runs only
-    where the straight path is blocked.  Edges whose planning fails are
-    reported and skipped; the remaining edges are still planned so the
-    failure set plus the success set always covers the route.
+    straight path tried first and every `rrt_plan` call.  The straight path
+    is tried only when it has at most `max_iters` segments: RRT adds at most
+    one node per iteration, so no attempt could build a longer path.  RRT
+    runs where the straight path is blocked or not tried.  Edges whose
+    planning fails are reported and skipped; the remaining edges are still
+    planned so the failure set plus the success set always covers the route.
     """
     pos = g.positions
     paths: list[MotionPath] = []
@@ -371,9 +383,10 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
             failures.append(EdgePlanFailure((u, v), f"no valid {which} configuration"))
             prev_end = None
             continue
-        # connect first; a budget of 0 iterations plans no motion at all
+        # connect first, within the iteration budget (0 plans no motion)
+        n = _segment_count((start.x, start.y), (goal.x, goal.y), params.step)
         path = (_straight_path(start, goal, checker, fp, params.step)
-                if params.max_iters > 0 else None)
+                if n <= params.max_iters else None)
         # a narrow corridor can stall RRT for an unlucky seed; retry with
         # derived seeds before reporting the edge as failed (deterministic)
         for attempt in range(3):

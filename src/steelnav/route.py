@@ -241,8 +241,9 @@ def connected_components(vertices, pairs) -> list[set]:
     return components
 
 
-def _check_trail_input(mg: Multigraph, v_s, v_t):
-    """Known endpoints, at least one edge, and one component to cover.
+def _check_trail_input(mg: Multigraph, v_s, v_t) -> set:
+    """T = odd(G) ^ {v_s} ^ {v_t}, after checking for known endpoints, at
+    least one edge, and one component to cover.
 
     The endpoints and every edge-bearing vertex must share one component.
     A connected graph has a T-join for every even T (Edmonds & Johnson
@@ -259,6 +260,7 @@ def _check_trail_input(mg: Multigraph, v_s, v_t):
                connected_components(mg.vertices, (e[:2] for e in mg.edges))):
         raise DisconnectedEndpoints(
             "endpoints and edge-bearing vertices are not in one component")
+    return odd_vertices(mg) ^ {v_s} ^ {v_t}
 
 
 def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
@@ -272,9 +274,7 @@ def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
     _MATCHING_DP_LIMIT vertices of T (provenance "TJoin"); above that it
     is greedy with 2-opt swaps (provenance "TJoinGreedy").
     """
-    _check_trail_input(mg, v_s, v_t)
-
-    t = odd_vertices(mg) ^ {v_s} ^ {v_t}
+    t = _check_trail_input(mg, v_s, v_t)
     sp = {a: dijkstra(mg, a) for a in t}
     metric = {(a, b): sp[a][0][b] for a in t for b in t if a != b}
     pairs, _ = min_weight_pairing(t, metric)
@@ -344,15 +344,13 @@ def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
     """Exact open-CPP optimum by enumerating duplicated edge subsets.
 
     A minimum T-join never needs an edge twice, so the optimum is the
-    lightest D subseteq E whose own odd-degree set is T = odd(G) ^ {v_s}
-    ^ {v_t}: adding D then leaves odd degrees exactly at the trail
-    endpoints.  Exponential in |E|; refuses more than 14 edges.
+    lightest D subseteq E whose own odd-degree set is T, as in
+    `augment_for_open_trail`: adding D then leaves odd degrees exactly at
+    the trail endpoints.  Exponential in |E|; refuses more than 14 edges.
     """
     if len(mg.edges) > 14:
         raise TooLarge(f"{len(mg.edges)} edges exceeds the brute-force limit of 14")
-    _check_trail_input(mg, v_s, v_t)
-
-    t = odd_vertices(mg) ^ {v_s} ^ {v_t}
+    t = _check_trail_input(mg, v_s, v_t)
     m = len(mg.edges)
     best_mask, best_extra = 0, float("inf")
     for mask in range(1 << m):

@@ -20,7 +20,6 @@ _COV_FLOOR_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class GmmModel:
-    k: int
     weights: np.ndarray  # (k,) simplex
     means: np.ndarray  # (k, 2)
     covariances: np.ndarray  # (k, 2, 2) SPD
@@ -204,8 +203,7 @@ def _em_once(points, k, rng, max_iter, rel_tol, floor):
         if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    return GmmModel(k, weights, means, _covariances(a, b, c), history[-1],
-                    tuple(history))
+    return GmmModel(weights, means, _covariances(a, b, c), history[-1], tuple(history))
 
 
 def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,

@@ -35,6 +35,8 @@ _PALETTE = [
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
 UNITS_PER_PX = 100
+_SIZE = 640  # px, the longer side of a canvas
+_MARGIN = 30  # px around the drawing
 _BAND = 8 * UNITS_PER_PX  # height of one row of a point layer's dot order
 
 
@@ -56,21 +58,20 @@ def _pairs(xy: np.ndarray, cmd: str, tail: str = "") -> str:
 class SvgCanvas:
     """Fixed-size canvas mapping world (x, y) to SVG pixels, y up."""
 
-    def __init__(self, bounds, size=640, margin=30):
+    def __init__(self, bounds):
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
         span = np.maximum(hi - lo, 1e-9)
-        self.scale = (size - 2 * margin) / float(span.max())
+        self.scale = (_SIZE - 2 * _MARGIN) / float(span.max())
         self.lo = lo
-        self.margin = margin
-        self.width = int(span[0] * self.scale) + 2 * margin
-        self.height = int(span[1] * self.scale) + 2 * margin
+        self.width = int(span[0] * self.scale) + 2 * _MARGIN
+        self.height = int(span[1] * self.scale) + 2 * _MARGIN
         self.parts: list[str] = []
         self._pen = None  # (stroke, width, segments) of the open stroke path
 
     def _xy(self, p):
-        x = self.margin + (p[0] - self.lo[0]) * self.scale
-        y = self.height - self.margin - (p[1] - self.lo[1]) * self.scale
+        x = _MARGIN + (p[0] - self.lo[0]) * self.scale
+        y = self.height - _MARGIN - (p[1] - self.lo[1]) * self.scale
         return x, y
 
     def _at(self, pts) -> np.ndarray:
@@ -152,9 +153,10 @@ class SvgCanvas:
         )
 
 
-def bounds_of(pts, pad=0.05):
+def bounds_of(pts):
+    """The (lo, hi) corners of the points' x and y, padded by 5 % of the span."""
     pts = np.atleast_2d(pts)
     lo = pts.min(axis=0)[:2]
     hi = pts.max(axis=0)[:2]
     span = np.maximum(hi - lo, 1e-9)
-    return lo - pad * span, hi + pad * span
+    return lo - 0.05 * span, hi + 0.05 * span

@@ -47,24 +47,6 @@ class BarRect:
     def area(self) -> float:
         return self.length * self.width
 
-    def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Boolean mask of points inside the rectangle (shrunk by `margin`)."""
-        pts = np.atleast_2d(points) - self.center
-        cos, sin = math.cos(self.angle), math.sin(self.angle)
-        local = pts @ np.array([[cos, sin], [-sin, cos]]).T
-        return (np.abs(local[:, 0]) <= self.length / 2 - margin) & \
-               (np.abs(local[:, 1]) <= self.width / 2 - margin)
-
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Unsigned distance of each point to the rectangle outline."""
-        pts = np.atleast_2d(points) - self.center
-        cos, sin = math.cos(self.angle), math.sin(self.angle)
-        local = pts @ np.array([[cos, sin], [-sin, cos]]).T
-        dx = np.abs(local[:, 0]) - self.length / 2
-        dy = np.abs(local[:, 1]) - self.width / 2
-        outside = np.hypot(np.maximum(dx, 0), np.maximum(dy, 0))
-        return np.where(outside > 0, outside, -np.maximum(dx, dy))
-
     def to_json(self):
         return {
             "center": [float(v) for v in self.center],
@@ -200,19 +182,3 @@ def generate(spec: StructureSpec) -> tuple[PointCloud, GroundTruth]:
     cloud = PointCloud(np.column_stack([xy, np.zeros(len(xy))]), Frame.PROJECTED_2D)
     truth = GroundTruth(labels, rects, cross, verts, edges)
     return cloud, truth
-
-
-def degrade(cloud: PointCloud, dropout: float, range_falloff: float,
-            seed: int = 0) -> PointCloud:
-    """Remove points with probability growing along the camera (x) axis."""
-    if not 0.0 <= dropout <= 1.0:
-        raise InvalidSpec("dropout must be in [0, 1]")
-    if range_falloff < 0:
-        raise InvalidSpec("range_falloff must be >= 0")
-    if len(cloud) == 0:
-        return cloud
-    rng = np.random.default_rng(seed)
-    x = cloud.points[:, 0]
-    p_remove = np.clip(dropout + range_falloff * (x - x.min()), 0.0, 1.0)
-    keep = rng.random(len(cloud)) >= p_remove
-    return PointCloud(cloud.points[keep], cloud.frame)

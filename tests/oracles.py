@@ -480,7 +480,7 @@ def em_once(points, k, rng, max_iter, rel_tol, floor):
         if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
+    return GmmModel(weights, means, covariances, history[-1], tuple(history))
 
 
 # The EM iteration written with a fresh temporary per elementwise step, kept
@@ -555,7 +555,7 @@ def allocating_em_once(points, k, rng, max_iter, rel_tol, floor):
         if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    return GmmModel(k, weights, means, covariances, history[-1], tuple(history))
+    return GmmModel(weights, means, covariances, history[-1], tuple(history))
 
 
 

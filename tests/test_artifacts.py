@@ -2,6 +2,7 @@
 strokes and labels decode to the JSON's positions."""
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -204,19 +205,39 @@ class TestSvgDotsMatchJson:
         pose = payload["decision"]["pose"]
         assert pose is not None
         border = np.asarray(payload["boundary"]["points"])[:, :2]
-        canvas = svgplot.SvgCanvas(svgplot.bounds_of(border))
-        path = runs / "sw" / "switching.svg"
-        check_layers(path, canvas,
-                     [border, [payload["plane"]["centroid"]], [pose["position"]]])
-        rects = []
-        for i, cand in enumerate(payload["candidate_rectangles"]):
-            col = "#2ca02c" if cand["passed"] else svgplot.color(i + 3)
-            c = np.asarray(cand["corners"])[:, :2]
-            rects += [(col, 2.0, c[a], c[b]) for a, b in ((0, 1), (1, 3), (3, 2), (2, 0))]
+        centroid = payload["plane"]["centroid"][:2]
+        corners = [np.asarray(c["corners"])[:, :2] for c in payload["candidate_rectangles"]]
         p = np.asarray(pose["position"][:2])
-        check_strokes(path, canvas, rects
-                      + arrow("#d62728", p, p + 0.1 * np.asarray(pose["e_x"][:2]), canvas)
-                      + arrow("#2ca02c", p, p + 0.1 * np.asarray(pose["e_y"][:2]), canvas))
+        tip_x = p + 0.1 * np.asarray(pose["e_x"][:2])
+        tip_y = p + 0.1 * np.asarray(pose["e_y"][:2])
+        # the figure spans every point it draws
+        canvas = svgplot.SvgCanvas(svgplot.bounds_of(
+            np.vstack([border, [centroid], *corners, tip_x, tip_y])))
+        path = runs / "sw" / "switching.svg"
+        check_layers(path, canvas, [border, [centroid], [pose["position"]]])
+        rects = []
+        for i, (cand, c) in enumerate(zip(payload["candidate_rectangles"], corners)):
+            col = "#2ca02c" if cand["passed"] else svgplot.color(i + 3)
+            rects += [(col, 2.0, c[a], c[b]) for a, b in ((0, 1), (1, 3), (3, 2), (2, 0))]
+        check_strokes(path, canvas, rects + arrow("#d62728", p, tip_x, canvas)
+                      + arrow("#2ca02c", p, tip_y, canvas))
+
+    def test_switching_with_a_huge_foot_stays_on_the_canvas(self, runs, tmp_path):
+        # candidate rectangles far larger than the plate: every dot and
+        # stroke stop still decodes inside the viewBox, with no warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"foot": {"width": 1e50, "length": 1e50}}))
+        out = tmp_path / "sw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("switching", "--input", runs / "plate" / "cloud.csv", "--config", cfg,
+                       "--seed", "1", "--out", out) == 0
+        assert read_json(out / "switching.json")["candidate_rectangles"]
+        root = ET.parse(out / "switching.svg").getroot()
+        size = np.array([float(root.get("width")), float(root.get("height"))])
+        stops = np.vstack([*point_layers(out / "switching.svg"),
+                           *(s for _, _, *s in strokes(out / "switching.svg"))])
+        assert ((stops >= 0) & (stops <= size)).all()
 
     @pytest.mark.parametrize("pts", [[], np.empty((0, 2))])
     def test_empty_point_set_adds_nothing(self, pts):

@@ -345,6 +345,12 @@ BAD_CONFIGS = [
     ({"height": {"base_height": -10**400}}, "height.base_height must be a finite number"),
     ({"transform": {"translation": [0, 10**400, 0]}}, "transform.translation must be a list"),
     ({"cloud": {"passthrough": {"axis": "z", "lo": 0, "hi": 10**400}}}, "lo and hi"),
+    # sizes past the coordinate bound, whose squared distances overflow
+    ({"foot": {"width": 1e300}}, "foot.width must be in (0, 1e+75]"),
+    ({"foot": {"length": 1e300}}, "foot.length must be in (0, 1e+75]"),
+    ({"planner": {"footprint_width": 1e300}}, "planner.footprint_width must be in (0, 1e+75]"),
+    ({"planner": {"footprint_length": 1e300}},
+     "planner.footprint_length must be in (0, 1e+75]"),
 ]
 
 

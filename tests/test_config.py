@@ -11,6 +11,7 @@ from steelnav.cli import main
 from steelnav.errors import ConfigError
 
 TINY = math.ulp(0.0)
+SIZE = [TINY, 1e75], [0.0, math.nextafter(1e75, math.inf)], "in (0, 1e+75]"
 
 # Every bound of the config, stated independently of the table in config.py:
 # (dotted key, values on or next to the bound that load, values just outside
@@ -23,8 +24,8 @@ BOUNDS = [
     ("cloud.ransac.min_inlier_fraction", [0.0, 1.0], [-TINY, math.nextafter(1.0, 2.0)],
      "in [0, 1]"),
     ("height.tol", [0.0], [-TINY], ">= 0"),
-    ("foot.width", [TINY], [0.0], "> 0"),
-    ("foot.length", [TINY], [0.0], "> 0"),
+    ("foot.width", *SIZE),
+    ("foot.length", *SIZE),
     ("foot.tolerance", [0.0], [-TINY], ">= 0"),
     ("foot.n_anchors", [1], [0], ">= 1"),
     ("foot.m_neighbors", [1], [0], ">= 1"),
@@ -37,8 +38,8 @@ BOUNDS = [
     ("segmentation.rel_tol", [0.0], [-TINY], ">= 0"),
     ("segmentation.restarts", [1], [0], ">= 1"),
     ("graph.d_min", [0.0], [-TINY], ">= 0"),
-    ("planner.footprint_width", [TINY], [0.0], "> 0"),
-    ("planner.footprint_length", [TINY], [0.0], "> 0"),
+    ("planner.footprint_width", *SIZE),
+    ("planner.footprint_length", *SIZE),
     ("planner.step", [TINY], [0.0], "> 0"),
     ("planner.theta_step", [TINY], [0.0], "> 0"),
     ("planner.goal_tol", [0.0], [-TINY], ">= 0"),

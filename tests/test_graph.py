@@ -152,7 +152,7 @@ class TestBuildGraph:
         # boundaries, borders and the neighbor matrix are required fields,
         # so a ClusterSet without them never reaches build_graph
         from steelnav import ClusterSet, GmmModel
-        model = GmmModel(k=1, weights=np.ones(1), means=np.zeros((1, 2)),
+        model = GmmModel(weights=np.ones(1), means=np.zeros((1, 2)),
                          covariances=np.eye(2)[None], log_likelihood=0.0)
         with pytest.raises(TypeError, match="neighbor_matrix"):
             ClusterSet(points=np.zeros((4, 2)),

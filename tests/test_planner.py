@@ -440,3 +440,14 @@ class TestStraightConnect:
         assert not result.paths
         assert [(f.edge, f.reason) for f in result.failures] == [((0, 1), "NoPathFound")]
         assert checker.calls == 2  # the start and the goal check, nothing more
+
+    def test_straight_path_longer_than_the_budget_is_not_tried(self):
+        # 600 segments of 1 mm against a budget of 5 iterations: the
+        # straight path would take 1,200 points_inside calls, RRT at most 15
+        b, _ = corridor_boundary()
+        checker = CountingChecker([b], rule="any")
+        g = structure_graph([[-0.3, 0.0], [0.3, 0.0]], [(0, 1, 0.6)])
+        params = RrtParams(step=1e-3, goal_tol=1e-3, max_iters=5)
+        result = plan_route(vocpp(g, 0, 1), g, checker, self.FP, params, seed=0)
+        assert [(f.edge, f.reason) for f in result.failures] == [((0, 1), "NoPathFound")]
+        assert checker.calls <= 2 + 3 * params.max_iters

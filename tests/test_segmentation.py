@@ -325,7 +325,7 @@ class TestAssignClusters:
     def test_tie_breaks_to_lowest_index(self):
         from steelnav import GmmModel
         eye = np.tile(np.eye(2) * 0.01, (2, 1, 1))
-        model = GmmModel(2, np.array([0.5, 0.5]),
+        model = GmmModel(np.array([0.5, 0.5]),
                          np.array([[-1.0, 0.0], [1.0, 0.0]]), eye, 0.0)
         got = assign_clusters(model, np.array([[0.0, 0.0]]))
         assert got[0] == 0
@@ -383,7 +383,7 @@ class TestSegmentStructure:
         # neighbor matrix, not stored beside them
         from steelnav import ClusterSet, GmmModel
         means = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        model = GmmModel(k=3, weights=np.full(3, 1 / 3), means=means,
+        model = GmmModel(weights=np.full(3, 1 / 3), means=means,
                          covariances=np.repeat(np.eye(2)[None], 3, axis=0),
                          log_likelihood=0.0)
         matrix = np.array([[False, True, False],
