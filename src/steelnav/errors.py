@@ -113,6 +113,10 @@ class NoPathFound(SteelNavError):
     pass
 
 
+class InvalidStep(SteelNavError):
+    pass
+
+
 # --- synth / cli ---------------------------------------------------------
 
 class InvalidSpec(SteelNavError):

@@ -10,26 +10,26 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import Boundary, _dist, _m_nearest_verdict
-from .errors import EmptyBoundaries, GoalInvalid, NoPathFound, StartInvalid
+from .errors import EmptyBoundaries, GoalInvalid, InvalidStep, NoPathFound, StartInvalid
 from .route import RoutePlan
 
 THETA_METRIC_WEIGHT = 0.3  # m/rad inside the nearest-neighbor metric
 _DRAW_BLOCK = 1 << 10  # doubles per Generator.random call of _samples
 
 
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    """Normalize an array of angles to (-pi, pi]."""
-    a = np.fmod(a + math.pi, 2.0 * math.pi)
-    return a + 2.0 * math.pi * (a <= 0) - math.pi
+def _angle_dist(a: np.ndarray) -> np.ndarray:
+    """abs(_wrap(x)) for each angle x of `a`, bit for bit."""
+    return np.abs(np.remainder(a + math.pi, 2.0 * math.pi) - math.pi)
 
 
 def _wrap(a: float) -> float:
-    """_wrap_angle of one float, with the same roundings (math.fmod is C fmod)."""
+    """Normalize an angle to (-pi, pi] (math.fmod is C fmod)."""
     a = math.fmod(a + math.pi, 2.0 * math.pi)
     return (a + 2.0 * math.pi if a <= 0 else a) - math.pi
 
@@ -159,7 +159,7 @@ class PibcChecker:
         qy *= qy
         qx += qy
         d_rq = np.sqrt(qx, out=qx)
-        d_r = np.sort(d_c, axis=1)[:, :self.n_candidates]  # d_c at cand
+        d_r = d_c[np.arange(len(points))[:, None], cand]  # d_c at cand
         ok = _m_nearest_verdict(d_r, self._center_dist.take(cand, axis=0), d_rq,
                                 self.m, self.rule)
         return ok.any(axis=1)
@@ -261,7 +261,7 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
 
         tree = states[:len(parents)]
         d_xy = np.hypot(tree[:, 0] - sx, tree[:, 1] - sy)
-        d_th = np.abs(_wrap_angle(tree[:, 2] - sth))
+        d_th = _angle_dist(tree[:, 2] - sth)
         ni = int(np.argmin(np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)))
         if to_goal and ni in goal_failed:
             continue
@@ -366,7 +366,13 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
     runs where the straight path is blocked or not tried.  Edges whose
     planning fails are reported and skipped; the remaining edges are still
     planned so the failure set plus the success set always covers the route.
+    Raises InvalidStep when a segment across the boundaries' box does not cut
+    into a finite number of `step / 2` pieces.
     """
+    lo, hi = checker.bbox_lo, checker.bbox_hi
+    if not params.step / 2.0 > math.hypot(*(hi - lo)) / sys.float_info.max:
+        raise InvalidStep(f"step {params.step} is too small for coordinates "
+                          f"in [{float(lo.min())}, {float(hi.max())}]")
     pos = g.positions
     paths: list[MotionPath] = []
     failures: list[EdgePlanFailure] = []

@@ -9,6 +9,7 @@ optimum on small instances.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -153,9 +154,9 @@ def odd_vertices(mg: Multigraph):
 def min_weight_pairing(odd, metric):
     """Minimum-weight perfect pairing of `odd` under distance map `metric`.
 
-    Exact bitmask DP up to 16 vertices; greedy nearest-pair with 2-opt
-    swap improvement beyond.  A pair with no finite metric[(u, v)] raises
-    DisconnectedEndpoints.
+    Exact up to 16 vertices by a top-down DP that pairs the lowest vertex
+    first; greedy nearest-pair with 2-opt swap improvement beyond.  A pair
+    with no finite metric[(u, v)] raises DisconnectedEndpoints.
     """
     odd = sorted(odd)
     n = len(odd)
@@ -170,39 +171,29 @@ def min_weight_pairing(odd, metric):
         return val
 
     if n <= _MATCHING_DP_LIMIT:
-        full = (1 << n) - 1
-        best = [float("inf")] * (full + 1)
-        choice = [None] * (full + 1)
-        best[0] = 0.0
-        for mask in range(1, full + 1):
-            if bin(mask).count("1") % 2:
-                continue
+        @functools.cache
+        def best(mask):
+            """(cost, pairs) pairing `mask`'s lowest vertex first; ties keep the lower j."""
+            if not mask:
+                return 0.0, ()
             i = (mask & -mask).bit_length() - 1
+            out = float("inf"), None
             for j in range(i + 1, n):
-                if not mask & (1 << j):
-                    continue
-                sub = mask & ~(1 << i) & ~(1 << j)
-                cost = best[sub] + d(i, j)
-                if cost < best[mask]:
-                    best[mask] = cost
-                    choice[mask] = (i, j)
-        pairs = []
-        mask = full
-        while mask:
-            i, j = choice[mask]
-            pairs.append((odd[i], odd[j]))
-            mask &= ~(1 << i) & ~(1 << j)
-        return pairs, float(best[full])
+                if mask & (1 << j):
+                    cost, rest = best(mask & ~(1 << i) & ~(1 << j))
+                    cost += d(i, j)
+                    if cost < out[0]:
+                        out = cost, ((odd[i], odd[j]),) + rest
+            return out
+
+        total, pairs = best((1 << n) - 1)
+        return list(pairs), float(total)
 
     # greedy nearest pair, then 2-opt pair swaps
     remaining = list(range(n))
     pairs_idx = []
     while remaining:
-        best_pair = min(
-            ((d(i, j), i, j) for i, j in itertools.combinations(remaining, 2)),
-            key=lambda t: (t[0], t[1], t[2]),
-        )
-        _, i, j = best_pair
+        _, i, j = min((d(i, j), i, j) for i, j in itertools.combinations(remaining, 2))
         pairs_idx.append((i, j))
         remaining.remove(i)
         remaining.remove(j)

@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the test suite.
 
-Deliberately naive: Bellman-Ford, full pairing enumeration, ray-casting
-point-in-polygon, rectangle-union containment, a from-scratch adjusted
-Rand index, an all-pairs farthest pair, per-window slicing boundary
-points, a per-point center-closest test, per-component Cholesky
-Gaussian log-densities and EM M-steps and a whole EM fit built from them,
-SciPy k-d tree nearest neighbors and cluster borders, and an RRT planner
-that keeps one configuration object per tree node.  None of these share
+Deliberately naive: Bellman-Ford, full pairing enumeration, a pairing
+table over every vertex subset, ray-casting point-in-polygon,
+rectangle-union containment, a from-scratch adjusted Rand index, an
+all-pairs farthest pair, per-window slicing boundary points, a per-point
+center-closest test, per-component Cholesky Gaussian log-densities and EM
+M-steps and a whole EM fit built from them, SciPy k-d tree nearest
+neighbors and cluster borders, and an RRT planner that keeps one
+configuration object per tree node.  None of these share
 code with the package under test; the reference planner takes the
 package's containment checker as its validity test, and the EM fits take
 its k-means++ seeding.  The EM iteration that allocates a temporary per
@@ -21,7 +22,10 @@ and the row parser that converts one row at a time as the reference for
 its bulk parser, as is the `cloud.csv` formatter that converts one NumPy
 element at a time for synth's.  The RRT samples drawn from one block of 4n
 doubles are the reference for the planner's, drawn in blocks of a fixed
-size.
+size.  The pairing table over every vertex subset is kept verbatim, but
+for its name, as the bit-exact reference for the package's top-down
+pairing, which visits only the subsets that pairing the lowest vertex
+first leaves.
 """
 import math
 from dataclasses import dataclass
@@ -41,6 +45,7 @@ from steelnav.boundary import (
 from steelnav.cloud import PlanePatch, PointCloud, _cross
 from steelnav.errors import (
     DegenerateCloud,
+    DisconnectedEndpoints,
     EmptyInput,
     GoalInvalid,
     InvalidAlpha,
@@ -90,6 +95,44 @@ def min_pairing_cost(items, metric):
         cost = sum(metric[(a, b)] for a, b in pairing)
         best = min(best, cost)
     return best
+
+
+def bitmask_pairing(odd, metric):
+    """Minimum-weight perfect pairing of `odd` by a bottom-up table over all
+    2^n vertex subsets, the lowest vertex of each paired first."""
+    odd = sorted(odd)
+    n = len(odd)
+
+    def d(i, j):
+        val = metric[(odd[i], odd[j])]
+        if not np.isfinite(val):
+            raise DisconnectedEndpoints(
+                f"no finite distance between {odd[i]!r} and {odd[j]!r}")
+        return val
+
+    full = (1 << n) - 1
+    best = [float("inf")] * (full + 1)
+    choice = [None] * (full + 1)
+    best[0] = 0.0
+    for mask in range(1, full + 1):
+        if bin(mask).count("1") % 2:
+            continue
+        i = (mask & -mask).bit_length() - 1
+        for j in range(i + 1, n):
+            if not mask & (1 << j):
+                continue
+            sub = mask & ~(1 << i) & ~(1 << j)
+            cost = best[sub] + d(i, j)
+            if cost < best[mask]:
+                best[mask] = cost
+                choice[mask] = (i, j)
+    pairs = []
+    mask = full
+    while mask:
+        i, j = choice[mask]
+        pairs.append((odd[i], odd[j]))
+        mask &= ~(1 << i) & ~(1 << j)
+    return pairs, float(best[full])
 
 
 def point_in_polygon(p, polygon):

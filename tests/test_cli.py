@@ -422,6 +422,28 @@ def test_disconnected_structure_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-320])
+def test_subnormal_step_is_one_error_line(step, tmp_path, capsys):
+    # positive, but a segment across the scene does not cut into a finite
+    # number of step / 2 pieces; only navigate plans, so this is not a
+    # BAD_CONFIGS row
+    scene = tmp_path / "scene"
+    assert run("synth", "--shape", "l", "--density", "1500", "--seed", "1",
+               "--out", str(scene)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"planner": {"step": step, "max_iters": 5}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("navigate", "--input", str(scene / "cloud.csv"), "--config", str(cfg),
+                   "--out", str(out), "--seed", "1")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: step {step!r} is too small for coordinates in [")
+    assert not out.exists()
+
+
 def test_overflowing_transform_is_one_error_line(tmp_path, capsys):
     # the translation pushes every point past the coordinate bound
     cloud = tmp_path / "cloud.csv"

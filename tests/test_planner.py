@@ -30,8 +30,8 @@ from steelnav.planner import (
     PibcChecker,
     _interp_segment,
     _samples,
+    _angle_dist,
     _wrap,
-    _wrap_angle,
     footprint_points,
     plan_route,
     segment_footprints,
@@ -273,8 +273,9 @@ class TestFloatKernels:
             special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf),
             rng.uniform(-7.0, 7.0, 100_000), rng.normal(0.0, 1e3, 100_000 - 3 * len(special))])
         assert len(angles) == 200_000
-        got = np.array([_wrap(a) for a in angles.tolist()])
-        assert got.tobytes() == _wrap_angle(angles).tobytes()
+        # the RRT metric's angle distance is abs(_wrap(a)), bit for bit
+        got = np.array([abs(_wrap(a)) for a in angles.tolist()])
+        assert got.tobytes() == _angle_dist(angles).tobytes()
 
     def test_two_norm_matches_linalg_norm(self):
         rng = np.random.default_rng(6)
