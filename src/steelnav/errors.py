@@ -117,6 +117,10 @@ class InvalidStep(SteelNavError):
     pass
 
 
+class InvalidFootprint(SteelNavError):
+    pass
+
+
 # --- synth / cli ---------------------------------------------------------
 
 class InvalidSpec(SteelNavError):

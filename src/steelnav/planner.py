@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import Boundary, _dist, _m_nearest_verdict
-from .errors import EmptyBoundaries, GoalInvalid, InvalidStep, NoPathFound, StartInvalid
+from .errors import (EmptyBoundaries, GoalInvalid, InvalidFootprint, InvalidStep,
+                     NoPathFound, StartInvalid)
 from .route import RoutePlan
 
 THETA_METRIC_WEIGHT = 0.3  # m/rad inside the nearest-neighbor metric
@@ -327,12 +328,19 @@ def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
     Graph vertices at bar ends sit on the boundary itself, where a
     centered footprint necessarily sticks out; stepping toward the edge
     interior, at most 60 % of the way, recovers a valid via configuration.
+    Raises InvalidFootprint when the step, a quarter of the footprint
+    length, is at most half an ulp of that 60 %: the offset would stop
+    short of it and the walk would never end.
     """
     span = float(np.linalg.norm(toward - pos))
     direction = (toward - pos) / max(span, 1e-12)  # a zero-length edge checks pos alone
-    step = fp.length / 4.0
+    step, limit = fp.length / 4.0, 0.6 * span
+    if not step > math.ulp(limit) / 2:
+        raise InvalidFootprint(f"planner.footprint_length {fp.length!r} is too small "
+                               f"for a route edge {span!r} long: a quarter of it does "
+                               f"not advance the nudge")
     offset = 0.0
-    while offset <= 0.6 * span:
+    while offset <= limit:
         p = pos + offset * direction
         c = Config(p[0], p[1], theta)
         if checker.check(c, fp):
@@ -368,6 +376,7 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
     planned so the failure set plus the success set always covers the route.
     Raises InvalidStep when a segment across the boundaries' box does not cut
     into a finite number of `step / 2` pieces.
+    Raises InvalidFootprint when a nudge cannot advance (_nudge_valid).
     """
     lo, hi = checker.bbox_lo, checker.bbox_hi
     if not params.step / 2.0 > math.hypot(*(hi - lo)) / sys.float_info.max:

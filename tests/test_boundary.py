@@ -548,6 +548,32 @@ class TestNcbeMemory:
         self.check(np.column_stack([np.cos(t), np.sin(t)]), 0.01)
 
 
+def strip_edge_set():
+    """400 points over [0, 10]^2, so the strips are w = 2 sqrt(10 * 10 / 400)
+    = 1 wide and their edges lie on the integers: a blob whose y values are
+    all on edges, and 20 isolated pairs exactly w apart across an edge, at
+    least 1.75 from any other point."""
+    rng = np.random.default_rng(31)
+    blob = np.column_stack([rng.uniform(0, 2, 360), rng.integers(0, 5, 360) / 2])
+    blob[0] = [0.0, 0.5]
+    pairs = [[x, y + dy] for x in (3.25, 5.0, 6.75, 8.5, 10.0) for y in (0, 3, 6, 9)
+             for dy in (0, 1)]
+    return np.vstack([blob, pairs])
+
+
+def outlier_set():
+    """A uniform square with isolated points far beyond any first strip."""
+    rng = np.random.default_rng(32)
+    return np.vstack([rng.uniform(0, 1, (2000, 2)),
+                      [[5.0, 40.0], [-30.0, 2.0], [0.5, -25.0], [0.5, -24.0]]])
+
+
+def on_x_axis(dim):
+    """Every point on a line along x, with ties: a strip axis of zero extent."""
+    t = np.random.default_rng(33).uniform(-1, 1, 500)
+    return np.column_stack([np.round(t * 64) / 64] + [np.full(500, 5.0)] * (dim - 1))
+
+
 def nearest_neighbor_cases():
     rng = np.random.default_rng(21)
     t = rng.uniform(-1, 1, 200)
@@ -565,6 +591,19 @@ def nearest_neighbor_cases():
     yield np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     yield ties  # the sweep axis holds only two values
     yield ties[:, ::-1].copy()
+    # strip edges and widths
+    yield strip_edge_set()
+    yield outlier_set()
+    yield on_x_axis(2)
+    yield on_x_axis(3)
+    rng = np.random.default_rng(34)
+    for offset in (1e8, -1e8):
+        yield rng.uniform(0, 1, (3000, 2)) + [offset, -offset]
+    yield np.column_stack([rng.uniform(0, [4.0, 1.0], (5000, 2)),  # a plate, z noise
+                           rng.normal(0, 0.002, 5000)])
+    for dim in (2, 3):
+        yield rng.uniform(0, 1, (2, dim))
+        yield np.repeat(rng.uniform(0, 1, (1, dim)), 50, axis=0)
 
 
 NEAREST_NEIGHBOR_CASES = list(nearest_neighbor_cases())
@@ -592,6 +631,51 @@ class TestNearestNeighborOracle:
             steps.clear()
             assert np.array_equal(bd._nn_dist(pts), oracles.nearest_neighbor_dist(pts))
             assert 1 <= len(steps) <= 2
+
+
+class TestStripSweep:
+    # NEAREST_NEIGHBOR_CASES checks these sets against the oracle; here, the
+    # passes and steps they take
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        # one _sweep call per pass, given the points of its double strips
+        calls = []
+        sweep = bd._sweep
+        monkeypatch.setattr(bd, "_sweep", lambda p, pt, *a:
+                            calls.append(len(pt)) or sweep(p, pt, *a))
+        return calls
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        # each step, or block of steps, computes its pairs in one _dist call
+        calls = []
+        dist = bd._dist
+        monkeypatch.setattr(bd, "_dist", lambda a, b: calls.append(len(a)) or dist(a, b))
+        return calls
+
+    def test_pairs_w_apart_widen_once(self, sweeps):
+        # left over at w, resolved at 2w among the double strips that hold them
+        bd._nn_dist(strip_edge_set())
+        assert len(sweeps) == 2 and sweeps[1] < sweeps[0]
+
+    def test_outliers_widen_in_blocks_of_steps(self, sweeps, steps):
+        # the far points' last passes compare each with up to 2,000 others,
+        # a few at a time: one step at a time took 2,960 _dist calls
+        bd._nn_dist(outlier_set())
+        assert len(sweeps) > 2
+        assert len(steps) <= 300
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_strip_extent_is_one_sweep(self, sweeps, dim):
+        # w = 0: one strip, one copy of each point
+        bd._nn_dist(on_x_axis(dim))
+        assert sweeps == [500]
+
+    def test_uniform_plate_takes_few_steps(self, steps):
+        # one sweep over the whole set takes hundreds of steps here
+        pts = np.random.default_rng(37).uniform(0, 1, (20000, 2))
+        assert np.array_equal(bd._nn_dist(pts), oracles.nearest_neighbor_dist(pts))
+        assert len(steps) <= 40
 
 
 class TestUniqueRowsOracle:

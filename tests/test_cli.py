@@ -444,6 +444,30 @@ def test_subnormal_step_is_one_error_line(step, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [5e-324, 1e-300])
+def test_tiny_footprint_is_one_error_line(length, tmp_path):
+    # a quarter of the length does not advance a nudge along any route edge
+    # (5e-324 / 4 rounds to 0), so the walk would never end: a subprocess
+    # with a timeout, so that a hang fails this test and not the suite
+    scene = tmp_path / "scene"
+    assert run("synth", "--shape", "l", "--density", "1500", "--seed", "1",
+               "--out", str(scene)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"planner": {"footprint_length": length, "max_iters": 0}}))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(steelnav.__file__).parents[1]),
+               PYTHONWARNINGS="error")
+    proc = subprocess.run([sys.executable, "-m", "steelnav.cli", "navigate",
+                           "--input", str(scene / "cloud.csv"), "--config", str(cfg),
+                           "--out", str(out), "--seed", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: planner.footprint_length {length!r} is too small")
+    assert not out.exists()
+
+
 def test_overflowing_transform_is_one_error_line(tmp_path, capsys):
     # the translation pushes every point past the coordinate bound
     cloud = tmp_path / "cloud.csv"
