@@ -13,7 +13,6 @@ from .boundary import (
     cluster_border,
     default_alpha_s,
     ncbe,
-    point_in_boundary,
 )
 from .cloud import (
     Frame,
@@ -60,7 +59,7 @@ from .synth import Shape, StructureSpec, generate
 
 __all__ = [
     "Border", "Boundary", "are_neighbors", "center_closest", "cluster_border",
-    "default_alpha_s", "ncbe", "point_in_boundary",
+    "default_alpha_s", "ncbe",
     "Frame", "PlanePatch", "PointCloud", "RigidTransform", "extract_plane_ransac",
     "load_cloud", "passthrough_filter", "project_to_2d", "transform_cloud",
     "voxel_downsample",

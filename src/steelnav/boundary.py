@@ -393,73 +393,96 @@ def ncbe(points: np.ndarray, alpha_s: float) -> Boundary:
     return Boundary(uniq, center, alpha_s)
 
 
+class CenterClosest:
+    """The center-closest-points membership test (PIBC, the paper's
+    Algorithm 6) against one or more boundaries, one verdict per point.
+
+    A point r is inside a boundary when its distance d_r to that
+    boundary's center beats the center distances d_q of its `m` nearest
+    boundary points: all of them under rule="all", any under rule="any".
+    A d_q also counts as beaten when d_r > 0 and (d_r - d_q) / d_r < tol.
+    The m nearest are taken by (distance, index): all within the m-th
+    distance, less the last of those tied with it when there are too many.
+    A point passes when it is inside one of the `n_candidates` boundaries
+    whose centers are nearest to it (every boundary, when there are fewer).
+
+    point_sets holds the boundaries, (L_j, d) each; centers is (B, d).
+    They are laid out as d coordinate planes of shape (B, max L_j), NaN on
+    padding, so every distance is summed in place, plane by plane, in the
+    order of _dist.
+    """
+
+    def __init__(self, point_sets: list[np.ndarray], centers: np.ndarray,
+                 n_candidates: int, m: int, rule: str, tol: float = 0.0):
+        if rule not in ("all", "any"):
+            raise ValueError(f"unknown rule {rule!r}")
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        if n_candidates < 1:
+            raise ValueError("n_candidates must be >= 1")
+        self.centers = np.asarray(centers, dtype=float)
+        self.n_candidates = min(n_candidates, len(point_sets))
+        self.m, self.rule, self.tol = m, rule, tol
+        self.planes = np.full((self.centers.shape[1], len(point_sets),
+                               max(map(len, point_sets))), np.nan)
+        for j, q in enumerate(point_sets):
+            self.planes[:, j, :len(q)] = q.T
+        self.center_dist = _plane_norm(self.planes - self.centers.T[:, :, None])
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """(P,) verdicts of (P, d) points."""
+        # (d, P, B), C order so that each coordinate's plane is contiguous
+        d_c = _plane_norm(np.subtract(points.T[:, :, None], self.centers.T[:, None, :],
+                                      order="C"))
+        cand = d_c.argsort(axis=1, kind="stable")[:, :self.n_candidates]
+        q = self.planes.take(cand, axis=1)  # (d, P, candidates, max L)
+        q -= points.T[:, :, None, None]
+        d_rq = _plane_norm(q)
+        d_r = d_c[np.arange(len(points))[:, None], cand]
+        d_q = self.center_dist.take(cand, axis=0)
+        k = min(self.m, d_rq.shape[-1])
+        # a full sort beats np.partition on rows this short, and it shows ties
+        srt = np.sort(d_rq, axis=-1)  # NaN sorts last
+        kth = srt[..., k - 1:k]
+        np.fmin(kth, np.inf, out=kth)  # fewer than m real points (NaN): take them all
+        chosen = d_rq <= kth
+        if k < d_rq.shape[-1] and (srt[..., k:k + 1] == kth).any():
+            excess = np.count_nonzero(chosen, axis=-1, keepdims=True) - k
+            tied = d_rq == kth
+            keep = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
+            chosen &= ~tied | (np.cumsum(tied, axis=-1) <= keep)
+        # the verdict is monotone in d_q: "all" needs the smallest, "any" the largest
+        if self.rule == "all":
+            d_q = d_q.min(axis=-1, where=chosen, initial=np.inf)
+        else:
+            d_q = d_q.max(axis=-1, where=chosen, initial=-np.inf)
+        inside = d_r < d_q
+        if self.tol > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inside |= (d_r > 0) & ((d_r - d_q) / d_r < self.tol)
+        return inside.any(axis=1)
+
+
+def _plane_norm(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean norm over the first axis of `diff`, a fresh array of
+    per-coordinate differences, squared and summed in place in the order
+    of _dist."""
+    diff *= diff
+    acc = diff[0]
+    for t in diff[1:]:
+        acc += t
+    return np.sqrt(acc, out=acc)
+
+
 def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
                    m: int, rule: str = "all", tol: float = 0.0) -> np.ndarray:
-    """Center-closest-points membership test, one verdict per point.
-
-    A point r is inside when its center distance d_r beats the center
-    distances d_q of its `m` nearest boundary points: all of them under
-    rule="all", any under rule="any".  A d_q also counts as beaten when
-    d_r > 0 and (d_r - d_q) / d_r < tol.  Of boundary points equally far
-    from r the lower index is nearer, as in a stable argsort.
-
-    points (P, d) or (d,); boundary (L, d); center (d,).
-    """
-    if rule not in ("all", "any"):
-        raise ValueError(f"unknown rule {rule!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    r = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.asarray(center, dtype=float)
+    """CenterClosest against one boundary: points (P, d) or (d,); boundary
+    (L, d); center (d,)."""
     q = np.asarray(boundary, dtype=float)
+    test = CenterClosest([q], [center], 1, m, rule, tol)
     if len(q) == 0:
         raise EmptyBoundary("boundary has no points")
-    d_rq = _dist(q, r[:, None, :])
-    return _m_nearest_verdict(_dist(r, c), np.broadcast_to(_dist(q, c), d_rq.shape),
-                              d_rq, m, rule, tol)
-
-
-def _m_nearest_verdict(d_r: np.ndarray, d_q: np.ndarray, d_rq: np.ndarray,
-                       m: int, rule: str, tol: float = 0.0) -> np.ndarray:
-    """The center-closest verdict along the last axis, after the distances.
-
-    d_rq (..., L) holds each point's distances to the boundary points, NaN
-    on padding; d_q, shaped like d_rq, the boundary points' center
-    distances; d_r (...) the points' own.  The m nearest are taken by
-    (distance, index): all within the m-th distance, less the last of
-    those tied with it when there are too many.
-    """
-    k = min(m, d_rq.shape[-1])
-    # a full sort beats np.partition on rows this short, and it shows ties
-    srt = np.sort(d_rq, axis=-1)  # NaN sorts last
-    kth = srt[..., k - 1:k]
-    np.fmin(kth, np.inf, out=kth)  # fewer than m real points (NaN): take them all
-    chosen = d_rq <= kth
-    if k < d_rq.shape[-1] and (srt[..., k:k + 1] == kth).any():
-        excess = np.count_nonzero(chosen, axis=-1, keepdims=True) - k
-        tied = d_rq == kth
-        keep = np.count_nonzero(tied, axis=-1, keepdims=True) - excess
-        chosen &= ~tied | (np.cumsum(tied, axis=-1) <= keep)
-    # the verdict is monotone in d_q: "all" needs the smallest, "any" the largest
-    if rule == "all":
-        d_q = d_q.min(axis=-1, where=chosen, initial=np.inf)
-    else:
-        d_q = d_q.max(axis=-1, where=chosen, initial=-np.inf)
-    inside = d_r < d_q
-    if tol > 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside |= (d_r > 0) & ((d_r - d_q) / d_r < tol)
-    return inside
-
-
-def point_in_boundary(b: Boundary, p: np.ndarray, m: int, rule: str = "all") -> bool:
-    """Center-closest-points membership test of one point against `b`.
-
-    `p` is inside when its distance to the cluster center beats the
-    center distances of its `m` nearest boundary points: for ALL of them
-    under the conservative default rule, for ANY under rule="any".
-    """
-    return bool(center_closest(p, b.points, b.center, m, rule)[0])
+    return test(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def cluster_border(a: Boundary, b: Boundary, eps_border: float) -> Border:

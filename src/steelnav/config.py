@@ -97,7 +97,7 @@ _KEYS = {
     # "any" accepts a point when any of its m nearest boundary points
     # is farther from the cluster center; "all" is far more conservative
     # and rejects most of a thin bar's interior, so it is unusable for
-    # corridor planning (it remains the default for point_in_boundary).
+    # corridor planning.
     "planner.rule": ("any", str, ("'all' or 'any'", lambda v: v in ("all", "any"))),
 }
 

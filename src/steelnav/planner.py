@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, _dist, _m_nearest_verdict
+from .boundary import Boundary, CenterClosest
 from .errors import (EmptyBoundaries, GoalInvalid, InvalidFootprint, InvalidStep,
                      NoPathFound, StartInvalid)
 from .route import RoutePlan
@@ -112,7 +112,8 @@ def footprint_points(c: Config, fp: Footprint) -> np.ndarray:
 
 
 class PibcChecker:
-    """Vectorized point-inside-boundary checks with per-boundary caches.
+    """Footprint checks: CenterClosest in the plane against the clusters'
+    boundaries, a point valid when inside one of its `n_candidates` nearest.
 
     `check` keeps each verdict per (Config, Footprint): it is a
     deterministic function of the two, and a route step's endpoints are
@@ -124,46 +125,17 @@ class PibcChecker:
         boundaries = [b for b in boundaries if len(b) > 0]
         if not boundaries:
             raise EmptyBoundaries("no non-empty boundaries")
-        if rule not in ("all", "any"):
-            raise ValueError(f"unknown rule {rule!r}")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.n_candidates = min(n_candidates, len(boundaries))
-        self.m = m
-        self.rule = rule
+        planar = [b.points[:, :2] for b in boundaries]
         self.centers = np.array([b.center[:2] for b in boundaries])
-        # 2D boundary points per cluster as planar x and y arrays, NaN-padded
-        # to (clusters, max length)
-        self._bx, self._by = np.full((2, len(boundaries), max(map(len, boundaries))), np.nan)
-        for j, b in enumerate(boundaries):
-            self._bx[j, :len(b)], self._by[j, :len(b)] = b.points[:, :2].T
-        self._center_dist = _dist(np.stack([self._bx, self._by], axis=-1),
-                                  self.centers[:, None, :])  # NaN on padding
-        all_pts = np.vstack([b.points[:, :2] for b in boundaries])
+        self._test = CenterClosest(planar, self.centers, n_candidates, m, rule)
+        all_pts = np.vstack(planar)
         self.bbox_lo = all_pts.min(axis=0)
         self.bbox_hi = all_pts.max(axis=0)
         self._verdicts = {}
 
     def points_inside(self, points: np.ndarray) -> np.ndarray:
         """Per-point validity of (P, 2) points against the n_candidates nearest clusters."""
-        px, py = points[:, 0, None], points[:, 1, None]
-        dx = px - self.centers[:, 0]
-        dy = py - self.centers[:, 1]
-        d_c = np.sqrt(dx * dx + dy * dy)  # (P, clusters), as np.linalg.norm sums it
-        cand = d_c.argsort(axis=1, kind="stable")[:, :self.n_candidates]
-        # (P, n_candidates, max length) point-to-boundary distances, in place
-        qx = self._bx.take(cand, axis=0)
-        qy = self._by.take(cand, axis=0)
-        qx -= px[:, :, None]
-        qy -= py[:, :, None]
-        qx *= qx
-        qy *= qy
-        qx += qy
-        d_rq = np.sqrt(qx, out=qx)
-        d_r = d_c[np.arange(len(points))[:, None], cand]  # d_c at cand
-        ok = _m_nearest_verdict(d_r, self._center_dist.take(cand, axis=0), d_rq,
-                                self.m, self.rule)
-        return ok.any(axis=1)
+        return self._test(points)
 
     def check(self, c: Config, fp: Footprint) -> bool:
         key = (c, fp)

@@ -15,7 +15,6 @@ from steelnav import (
     cluster_border,
     default_alpha_s,
     ncbe,
-    point_in_boundary,
 )
 from steelnav.cli import main
 from steelnav.errors import EmptyBoundary, EmptyInput, InvalidAlpha
@@ -148,10 +147,12 @@ def square_boundary():
 
 class TestPointInBoundary:
     def test_center_inside(self, square_boundary):
-        assert point_in_boundary(square_boundary, np.array([0.5, 0.5]), m=5)
+        assert center_closest(np.array([0.5, 0.5]), square_boundary.points,
+                              square_boundary.center, 5)[0]
 
     def test_far_outside(self, square_boundary):
-        assert not point_in_boundary(square_boundary, np.array([1.5, 0.5]), m=5)
+        assert not center_closest(np.array([1.5, 0.5]), square_boundary.points,
+                                  square_boundary.center, 5)[0]
 
     def test_convex_polygon_agreement(self):
         k = 12
@@ -170,7 +171,7 @@ class TestPointInBoundary:
             if dist_to_polygon_edge(p, polygon) < 0.02:
                 continue
             counted += 1
-            got = point_in_boundary(b, p, m=5)
+            got = center_closest(p, b.points, b.center, 5)[0]
             want = point_in_polygon(p, polygon)
             agree += got == want
         assert counted > 0
@@ -178,18 +179,20 @@ class TestPointInBoundary:
 
     def test_any_rule_superset_of_all(self, square_boundary):
         rng = np.random.default_rng(11)
+        b = square_boundary
         for p in rng.uniform(-0.2, 1.2, (200, 2)):
-            if point_in_boundary(square_boundary, p, m=5, rule="all"):
-                assert point_in_boundary(square_boundary, p, m=5, rule="any")
+            if center_closest(p, b.points, b.center, 5, "all")[0]:
+                assert center_closest(p, b.points, b.center, 5, "any")[0]
 
     def test_empty_boundary(self):
         b = Boundary(np.zeros((0, 2)), np.zeros(2), 0.1)
         with pytest.raises(EmptyBoundary):
-            point_in_boundary(b, np.zeros(2), m=1)
+            center_closest(np.zeros(2), b.points, b.center, 1)
 
     def test_bad_rule(self, square_boundary):
         with pytest.raises(ValueError):
-            point_in_boundary(square_boundary, np.zeros(2), m=1, rule="most")
+            center_closest(np.zeros(2), square_boundary.points, square_boundary.center, 1,
+                           "most")
 
 
 def grid_square_boundary(x0, y0, pitch=0.05):
@@ -767,22 +770,24 @@ class TestCenterClosestOracle:
         boundary, center, probes = center_closest_cases()[0]
         b = Boundary(boundary, center, 1.0)
         for p in probes:
-            assert point_in_boundary(b, p, 4, rule) == \
+            assert center_closest(p, b.points, b.center, 4, rule)[0] == \
                 oracles.center_closest(p, boundary, center, 4, rule)
 
     @pytest.mark.parametrize("rule", ["all", "any"])
     @pytest.mark.parametrize("m", [1, 6])
-    def test_padded_boundaries(self, rule, m):
+    @pytest.mark.parametrize("n_candidates", [1, 2, 7])
+    def test_padded_boundaries(self, rule, m, n_candidates):
         # boundaries of different lengths share one NaN-padded array; the
         # 4-point one has fewer than m = 6 points, and at m = 1 the index
-        # order of tied points decides some verdicts
+        # order of tied points decides some verdicts; 7 candidates are more
+        # than the 5 boundaries, so all of them are taken
         rng = np.random.default_rng(13)
         bs = [Boundary(rng.uniform(x0, x0 + 1, (n, 2)), [x0 + 0.5, 0.5], 0.1)
               for x0, n in ((0.0, 30), (0.8, 4), (1.6, 55), (2.4, 12))]
         # a lattice boundary with repeated points: distances tie exactly
         bs.append(Boundary(shuffled_lattice(rng, np.arange(3.2, 4.3, 0.25),
                                             np.arange(0.0, 1.1, 0.25)), [3.7, 0.5], 0.1))
-        checker = PibcChecker(bs, n_candidates=2, m=m, rule=rule)
+        checker = PibcChecker(bs, n_candidates=n_candidates, m=m, rule=rule)
         pts = [b.points for b in bs]
         pairs = [p[rng.integers(0, len(p), (2, 40))] for p in pts]
         probes = np.vstack([rng.uniform([-0.2, -0.2], [4.4, 1.2], (300, 2)),
@@ -792,7 +797,7 @@ class TestCenterClosestOracle:
         for p in probes:
             near = np.argsort(np.linalg.norm(checker.centers - p, axis=1), kind="stable")
             want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, m, rule)
-                            for j in near[:2]))
+                            for j in near[:n_candidates]))
         assert checker.points_inside(probes).tolist() == want
 
     def test_errors(self):

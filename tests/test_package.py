@@ -33,6 +33,15 @@ def test_every_exported_name_has_a_caller():
     used = {name for path in files
             for name, defining in _uses(ast.parse(path.read_text()))
             if name not in defining}
-    # the paper's single-point PIBC, kept while the containment rework is open
-    kept = {"point_in_boundary"}
-    assert [n for n in steelnav.__all__ if n not in used | kept] == []
+    assert [n for n in steelnav.__all__ if n not in used] == []
+
+
+def test_no_private_imports_across_modules():
+    # a module's underscore names are its own: no `from .x import _name`
+    # (nor `from steelnav.x import _name`)
+    found = [f"{path.name}: {alias.name}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").startswith("steelnav"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []

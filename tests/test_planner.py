@@ -123,6 +123,12 @@ class TestPibc:
         with pytest.raises(ValueError):
             PibcChecker([b], rule="most")
 
+    @pytest.mark.parametrize("n_candidates", [0, -1])
+    def test_bad_n_candidates(self, n_candidates):
+        b, _ = corridor_boundary()
+        with pytest.raises(ValueError, match="n_candidates"):
+            PibcChecker([b], n_candidates=n_candidates)
+
 
 class TestRrtPlan:
     PARAMS = RrtParams(step=0.02, goal_tol=0.01)

@@ -10,10 +10,10 @@ from steelnav import (
     PointCloud,
     RigidTransform,
     SurfacePose,
+    center_closest,
     height_available,
     ncbe,
     plane_available,
-    point_in_boundary,
     switch_decision,
 )
 from steelnav.switching import area_check_candidates
@@ -93,8 +93,8 @@ class TestAreaCheck:
             interior = np.vstack([cand.corners.mean(axis=0),
                                   cand.corners[2:].mean(axis=0)])
             for r in interior:
-                assert point_in_boundary(b, r, m=PAPER_FOOT.m_neighbors,
-                                         rule="all")
+                assert center_closest(r, b.points, b.center, PAPER_FOOT.m_neighbors,
+                                      "all")[0]
 
     def test_rigid_invariance(self):
         b, centroid = plane_boundary(1.0, seed=4)
