@@ -45,16 +45,6 @@ class Boundary:
     def __len__(self):
         return self.points.shape[0]
 
-    def to_json(self, cluster_id=None):
-        d = {
-            "center": [float(v) for v in self.center],
-            "alpha_s": float(self.alpha_s),
-            "points": [[float(v) for v in p] for p in self.points],
-        }
-        if cluster_id is not None:
-            d["cluster_id"] = cluster_id
-        return d
-
 
 @dataclass(frozen=True)
 class Border:

@@ -1,12 +1,16 @@
 """Pipeline orchestrator: ingestion, switching, navigation, standalone solver.
 
-Artifacts are JSON (schema-versioned, sorted keys) with sibling SVG
-figures drawn only from that JSON's data.  Exit codes: 0 success,
-1 error, 2 partial success (some route edges could not be planned).
+This is the one module that writes artifacts: each payload is built here
+from the pipeline's objects, and `dump_json` encodes it.  Artifacts are
+JSON (schema-versioned, sorted keys) with sibling SVG figures drawn only
+from the same payload values.  Exit codes: 0 success, 1 error, 2 partial
+success (some route edges could not be planned).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
 from pathlib import Path
@@ -29,8 +33,32 @@ from .planner import Footprint, PibcChecker, RrtParams, plan_route
 SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _encode(obj):
+    """The JSON value of what `json` does not encode itself."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, set):
+        return sorted(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dump_json(obj) -> str:
+    """The one JSON layout of artifacts and stdout: one line, sorted keys,
+    no whitespace between tokens."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode) + "\n"
+
+
 def _write_json(path: Path, payload: dict):
-    path.write_text(cfgmod.dump_json({"schema_version": SCHEMA_VERSION, **payload}))
+    path.write_text(dump_json({"schema_version": SCHEMA_VERSION, **payload}))
 
 
 def _preprocess(cloud, cfg):
@@ -86,15 +114,17 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
     decision = sw.switch_decision(s_pa, s_hc, pose)
 
     payload = {
-        "decision": decision.to_json(),
+        "decision": {**_fields(decision), "s_am": decision.s_am},
         "plane": None if plane is None else {
-            "normal": [float(v) for v in plane.normal],
+            "normal": plane.normal,
             "offset": plane.offset,
-            "centroid": [float(v) for v in plane.centroid],
+            "centroid": plane.centroid,
             "inlier_count": len(plane.inliers),
         },
-        "boundary": bound.to_json() if bound is not None else None,
-        "candidate_rectangles": [c.to_json() for c in candidates],
+        "boundary": bound,
+        "candidate_rectangles": [
+            {"anchor": c.anchor, "corners": c.corners, "midpoints": c.midpoints,
+             "passed": c.passed} for c in candidates],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "switching.json", payload)
@@ -107,14 +137,14 @@ def _render_switching_svg(path: Path, payload: dict):
     if bound is None:
         path.write_text(svgplot.SvgCanvas(((0, 0), (1, 1))).render())
         return
-    pts = np.asarray(bound["points"])[:, :2]
+    pts = bound.points[:, :2]
     centroid = payload["plane"]["centroid"][:2]
-    corners = [np.asarray(c["corners"])[:, :2] for c in payload["candidate_rectangles"]]
+    corners = [c["corners"][:, :2] for c in payload["candidate_rectangles"]]
     drawn = [pts, [centroid], *corners]
     pose = payload["decision"]["pose"]
     if pose is not None:
-        p = np.asarray(pose["position"][:2])
-        tips = p + 0.1 * np.asarray([pose["e_x"][:2], pose["e_y"][:2]])
+        p = pose.position[:2]
+        tips = p + 0.1 * np.array([pose.e_x[:2], pose.e_y[:2]])
         drawn.append(tips)
     # the figure spans every point it draws, so no position leaves the canvas
     canvas = svgplot.SvgCanvas(svgplot.bounds_of(np.vstack(drawn)))
@@ -178,28 +208,37 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
         print(f"warning: structure graph has {g.component_count} components",
               file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cloud_json = {"points": [[float(v) for v in pt] for pt in flat.points],
-                  "frame": flat.frame.value}
+    cloud_json = {"points": flat.points, "frame": flat.frame}
     _write_json(out_dir / "cloud.json", cloud_json)
-    clusters_json = cs.to_json()
-    clusters_json["alpha_s"] = alpha
-    clusters_json["eps_border"] = eps_border
-    clusters_json["boundaries"] = [
-        b.to_json(cluster_id=i) for i, b in enumerate(cs.boundaries)]
+    clusters_json = {
+        "n_c": cs.n_c, "labels": cs.labels, "means": cs.model.means,
+        "ratio_table": cs.ratio_table, "seed": cs.seed,
+        "alpha_s": alpha, "eps_border": eps_border,
+        "boundaries": [{"cluster_id": i, "center": b.center, "alpha_s": b.alpha_s,
+                        "points": b.points} for i, b in enumerate(cs.boundaries)],
+    }
     _write_json(out_dir / "clusters.json", clusters_json)
-    graph_json = g.to_json()
+    graph_json = {
+        "vertices": [{"id": v, "kind": k, "pos": p}
+                     for v, p, k in zip(g.vertices, g.positions, g.kinds)],
+        "edges": [{"u": u, "v": v, "w": w} for u, v, w in g.edges],
+        "component_count": g.component_count,
+    }
     _write_json(out_dir / "graph.json", graph_json)
-    route_json = route.to_json()
-    route_json["v_s"], route_json["v_t"] = v_s, v_t
-    route_json["covered_edges"] = len(g.edges)
+    route_json = {**_fields(route), "v_s": v_s, "v_t": v_t,
+                  "covered_edges": len(g.edges)}
     _write_json(out_dir / "route.json", route_json)
-    motion_json = result.to_json()
+    motion_json = {
+        "paths": [{"edge": p.edge_ref, "configs": [[c.x, c.y, c.theta] for c in p.configs]}
+                  for p in result.paths],
+        "failures": result.failures,
+    }
     _write_json(out_dir / "motion.json", motion_json)
 
     _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
                             route_json, motion_json)
     if result.failures:
-        manifest = {"failed_edges": [list(f.edge) for f in result.failures]}
+        manifest = {"failed_edges": [f.edge for f in result.failures]}
         _write_json(out_dir / "failures.json", manifest)
         return 2
     return 0
@@ -207,7 +246,7 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
 
 def _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
                             route_json, motion_json):
-    pts = np.asarray(cloud_json["points"])[:, :2]
+    pts = cloud_json["points"][:, :2]
     bounds = svgplot.bounds_of(pts)
 
     canvas = svgplot.SvgCanvas(bounds)
@@ -215,17 +254,17 @@ def _render_navigation_svgs(out_dir, cloud_json, clusters_json, graph_json,
     (out_dir / "cloud.svg").write_text(canvas.render())
 
     canvas = svgplot.SvgCanvas(bounds)
-    labels = np.asarray(clusters_json["labels"])
+    labels = clusters_json["labels"]
     for i in range(clusters_json["n_c"]):
         canvas.points(pts[labels == i], radius=1.0, fill=svgplot.color(i))
     (out_dir / "segmentation.svg").write_text(canvas.render())
 
     canvas = svgplot.SvgCanvas(bounds)
     for b in clusters_json["boundaries"]:
-        if b["points"]:
-            canvas.points(np.asarray(b["points"])[:, :2], radius=1.5,
+        if len(b["points"]):
+            canvas.points(b["points"][:, :2], radius=1.5,
                           fill=svgplot.color(b["cluster_id"]))
-    pos = {v["id"]: np.asarray(v["pos"]) for v in graph_json["vertices"]}
+    pos = {v["id"]: v["pos"] for v in graph_json["vertices"]}
     for e in graph_json["edges"]:
         canvas.line(pos[e["u"]], pos[e["v"]], stroke="#000000", width=1.5)
     # one path for all vertex dots: a one-dot path is longer than a circle
@@ -301,7 +340,7 @@ def solve_graph(path, v_s, v_t, oracle=False, out=None) -> dict:
         except ValueError:
             pass  # an endpoint that is no integer names no vertex here
     plan = rt.vocpp(g, v_s, v_t)
-    payload = plan.to_json()
+    payload = _fields(plan)
     if oracle:
         ref = rt.brute_force_ocpp(g, v_s, v_t)
         payload["oracle_length"] = ref.total_length
@@ -322,7 +361,7 @@ def run_synth(shape, out_dir: Path, bar_length, bar_width, density, noise, seed)
     text = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in cloud.points.tolist())
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "cloud.csv").write_text(text)
-    _write_json(out_dir / "ground_truth.json", truth.to_json())
+    _write_json(out_dir / "ground_truth.json", _fields(truth))
 
 
 # --- argparse wiring ---------------------------------------------------------
@@ -380,7 +419,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             payload = solve_graph(args.input, args.vs, args.vt,
                                   oracle=args.oracle, out=args.out)
-            sys.stdout.write(cfgmod.dump_json(payload))
+            sys.stdout.write(dump_json(payload))
             return 0
         cfg = cfgmod.load_config(args.config, seed=args.seed)
         if args.command == "switching":

@@ -101,10 +101,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         # an overflow gives inf, which PointCloud rejects as an InvalidPoints error

@@ -32,7 +32,8 @@ def _numbers_like(value, default) -> bool:
 
 
 # Type tests of a leaf, given its default: the name used in type errors
-# and the test.  A float leaf also accepts integers.
+# and the test.  A float leaf also accepts integers, and `validate` stores
+# them as floats.
 _KINDS = {
     int: ("an integer", lambda v, d: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a finite number", lambda v, d: _is_number(v)),
@@ -137,12 +138,16 @@ def _require(cond, msg):
 
 def validate(cfg: dict) -> dict:
     for key, (default, kind, bound) in _KEYS.items():
-        value = reduce(operator.getitem, key.split("."), cfg)
+        *sections, leaf = key.split(".")
+        node = reduce(operator.getitem, sections, cfg)
+        value = node[leaf]
         if value is None and default is None:
             continue
         kind_name, is_kind = _KINDS[kind]
         _require(is_kind(value, default),
                  f"{key} must be {kind_name}, got {json.dumps(value)}")
+        if kind is float:  # the bound holds for the value the pipeline reads
+            value = node[leaf] = float(value)
         if bound is not None:
             _require(bound[1](value), f"{key} must be {bound[0]}")
     _require(cfg["schema_version"] == SCHEMA_VERSION,
@@ -180,9 +185,3 @@ def load_config(path=None, seed=None) -> dict:
     if seed is not None:
         cfg["seed"] = seed
     return validate(cfg)
-
-
-def dump_json(obj) -> str:
-    """The one JSON layout of artifacts and stdout: one line, sorted keys,
-    no whitespace between tokens."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

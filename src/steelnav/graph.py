@@ -38,16 +38,6 @@ class StructureGraph(Multigraph):
     def component_count(self) -> int:
         return len(connected_components(self.vertices, (e[:2] for e in self.edges)))
 
-    def to_json(self):
-        return {
-            "vertices": [
-                {"id": v, "kind": k.value, "pos": [float(c) for c in p]}
-                for v, p, k in zip(self.vertices, self.positions, self.kinds)
-            ],
-            "edges": [{"u": u, "v": v, "w": float(w)} for u, v, w in self.edges],
-            "component_count": self.component_count,
-        }
-
 
 @dataclass(frozen=True)
 class PrincipalLine:

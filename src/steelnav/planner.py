@@ -85,12 +85,6 @@ class MotionPath:
     configs: tuple  # of Config
     edge_ref: tuple  # (u, v) graph edge served
 
-    def to_json(self):
-        return {
-            "edge": list(self.edge_ref),
-            "configs": [[c.x, c.y, c.theta] for c in self.configs],
-        }
-
 
 @dataclass(frozen=True)
 class EdgePlanFailure:
@@ -126,8 +120,8 @@ class PibcChecker:
         if not boundaries:
             raise EmptyBoundaries("no non-empty boundaries")
         planar = [b.points[:, :2] for b in boundaries]
-        self.centers = np.array([b.center[:2] for b in boundaries])
-        self._test = CenterClosest(planar, self.centers, n_candidates, m, rule)
+        self._test = CenterClosest(planar, np.array([b.center[:2] for b in boundaries]),
+                                   n_candidates, m, rule)
         all_pts = np.vstack(planar)
         self.bbox_lo = all_pts.min(axis=0)
         self.bbox_hi = all_pts.max(axis=0)
@@ -325,13 +319,6 @@ def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
 class RoutePlanResult:
     paths: list[MotionPath]
     failures: list[EdgePlanFailure]
-
-    def to_json(self):
-        return {
-            "paths": [p.to_json() for p in self.paths],
-            "failures": [{"edge": list(f.edge), "reason": f.reason}
-                         for f in self.failures],
-        }
 
 
 def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,

@@ -66,9 +66,6 @@ class Multigraph:
             deg[v] += 1
         return deg
 
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
 
 @dataclass(frozen=True)
 class AugmentedGraph:
@@ -94,14 +91,6 @@ class RoutePlan:
     edge_visits: tuple  # per base edge, visit count >= 1
     total_length: float
     provenance: str = ""
-
-    def to_json(self):
-        return {
-            "walk": list(self.walk),
-            "edge_visits": list(self.edge_visits),
-            "total_length": self.total_length,
-            "provenance": self.provenance,
-        }
 
 
 def dijkstra(mg: Multigraph, src):

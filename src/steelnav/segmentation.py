@@ -34,9 +34,6 @@ class RatioRecord:
     n_s: int
     r: float
 
-    def to_json(self):
-        return {"n_c": self.n_c, "n_m": self.n_m, "n_s": self.n_s, "r": self.r}
-
 
 @dataclass
 class ClusterSet:
@@ -50,27 +47,8 @@ class ClusterSet:
     ratio_table: list[RatioRecord] = field(default_factory=list)
     seed: int | None = None
 
-    @property
-    def means(self) -> np.ndarray:
-        """(k, 2) component means."""
-        return self.model.means
-
-    @property
-    def neighbor_counts(self) -> np.ndarray:
-        """(k,) neighbors per cluster."""
-        return self.neighbor_matrix.sum(axis=1).astype(int)
-
     def cluster_points(self, i: int) -> np.ndarray:
         return self.points[self.labels == i]
-
-    def to_json(self):
-        return {
-            "n_c": self.n_c,
-            "labels": [int(v) for v in self.labels],
-            "means": [[float(v) for v in m] for m in self.means],
-            "ratio_table": [r.to_json() for r in self.ratio_table],
-            "seed": self.seed,
-        }
 
 
 def _kmeanspp_means(points, k, rng):

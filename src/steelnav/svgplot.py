@@ -24,7 +24,7 @@ before.
 To read a figure back, walk the path data keeping the current point: `M`
 sets it, `m` and `l` add to it, `h0` leaves it, and each value divided by
 100 is the pixel position.  The JSON artifacts beside the SVGs are compact
-one-line JSON with sorted keys (`config.dump_json`).
+one-line JSON with sorted keys (`cli.dump_json`).
 """
 from __future__ import annotations
 

@@ -50,18 +50,6 @@ class SurfacePose:
                 raise ValueError(f"{a} and {b} must be orthogonal")
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
 
-    def orthonormality_residual(self) -> float:
-        r = np.column_stack([self.e_x, self.e_y, self.e_z])
-        return float(np.max(np.abs(r.T @ r - np.eye(3))))
-
-    def to_json(self):
-        return {
-            "e_x": [float(v) for v in self.e_x],
-            "e_y": [float(v) for v in self.e_y],
-            "e_z": [float(v) for v in self.e_z],
-            "position": [float(v) for v in self.position],
-        }
-
 
 class Mode(enum.Enum):
     MOBILE = "mobile"
@@ -80,15 +68,6 @@ class SwitchDecision:
     def s_am(self) -> bool:
         """Area availability: a standing pose was found."""
         return self.pose is not None
-
-    def to_json(self):
-        return {
-            "s_pa": self.s_pa,
-            "s_am": self.s_am,
-            "s_hc": self.s_hc,
-            "mode": self.mode.value,
-            "pose": self.pose.to_json() if self.pose is not None else None,
-        }
 
 
 def plane_available(p: PointCloud | None) -> bool:
@@ -112,14 +91,6 @@ class CandidateRectangle:
     @property
     def passed(self) -> bool:
         return self.pose is not None
-
-    def to_json(self):
-        return {
-            "anchor": [float(v) for v in self.anchor],
-            "corners": [[float(v) for v in c] for c in self.corners],
-            "midpoints": [[float(v) for v in c] for c in self.midpoints],
-            "passed": self.passed,
-        }
 
 
 def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,

@@ -47,14 +47,6 @@ class BarRect:
     def area(self) -> float:
         return self.length * self.width
 
-    def to_json(self):
-        return {
-            "center": [float(v) for v in self.center],
-            "length": self.length,
-            "width": self.width,
-            "angle": self.angle,
-        }
-
 
 @dataclass(frozen=True)
 class StructureSpec:
@@ -86,15 +78,6 @@ class GroundTruth:
     cross_labels: set[int]  # which rectangles are junction areas
     graph_vertices: list[np.ndarray]
     graph_edges: list[tuple[int, int]]
-
-    def to_json(self):
-        return {
-            "labels": [int(v) for v in self.labels],
-            "rects": [r.to_json() for r in self.rects],
-            "cross_labels": sorted(self.cross_labels),
-            "graph_vertices": [[float(c) for c in v] for v in self.graph_vertices],
-            "graph_edges": [list(e) for e in self.graph_edges],
-        }
 
 
 def _dir(angle: float) -> np.ndarray:

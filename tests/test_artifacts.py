@@ -1,15 +1,17 @@
 """Artifact encoding: one compact JSON layout, and SVG figures whose dots,
 strokes and labels decode to the JSON's positions."""
+import enum
 import json
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from steelnav import boundary, cloud, segmentation, svgplot
-from steelnav.cli import main
+from steelnav.cli import dump_json, main
 
 import oracles
 
@@ -285,6 +287,109 @@ class TestOneJsonLayout:
         assert printed == compact(printed)
         text = out.read_text()
         assert text == compact(text)
+
+
+def key_paths(value, prefix=""):
+    """The key tree of a JSON value as dotted paths: every object's keys,
+    recursively, with the elements of a list merged under the list's path."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield prefix + k
+            yield from key_paths(v, f"{prefix}{k}.")
+    elif isinstance(value, list):
+        for v in value:
+            yield from key_paths(v, prefix)
+
+
+GROUND_TRUTH_KEYS = {"schema_version", "labels", "cross_labels", "graph_vertices",
+                     "graph_edges", "rects", "rects.center", "rects.length",
+                     "rects.width", "rects.angle"}
+ROUTE_KEYS = {"walk", "edge_visits", "total_length", "provenance"}
+# every artifact's keys, written out here rather than read from the code
+# that writes them
+SCHEMA = {
+    "cross/ground_truth.json": GROUND_TRUTH_KEYS,
+    "plate/ground_truth.json": GROUND_TRUTH_KEYS,
+    "rrt/cloud.json": {"schema_version", "points", "frame"},
+    "rrt/clusters.json": {
+        "schema_version", "n_c", "labels", "means", "seed", "alpha_s", "eps_border",
+        "ratio_table", "ratio_table.n_c", "ratio_table.n_m", "ratio_table.n_s",
+        "ratio_table.r", "boundaries", "boundaries.cluster_id", "boundaries.center",
+        "boundaries.alpha_s", "boundaries.points"},
+    "rrt/graph.json": {
+        "schema_version", "component_count", "vertices", "vertices.id", "vertices.kind",
+        "vertices.pos", "edges", "edges.u", "edges.v", "edges.w"},
+    "rrt/route.json": {"schema_version", "v_s", "v_t", "covered_edges", *ROUTE_KEYS},
+    "rrt/motion.json": {
+        "schema_version", "paths", "paths.edge", "paths.configs", "failures",
+        "failures.edge", "failures.reason"},
+    "rrt/failures.json": {"schema_version", "failed_edges"},
+    "sw/switching.json": {
+        "schema_version", "decision", "decision.s_pa", "decision.s_am", "decision.s_hc",
+        "decision.mode", "decision.pose", "decision.pose.e_x", "decision.pose.e_y",
+        "decision.pose.e_z", "decision.pose.position", "plane", "plane.normal",
+        "plane.offset", "plane.centroid", "plane.inlier_count", "boundary",
+        "boundary.center", "boundary.alpha_s", "boundary.points",
+        "candidate_rectangles", "candidate_rectangles.anchor",
+        "candidate_rectangles.corners", "candidate_rectangles.midpoints",
+        "candidate_rectangles.passed"},
+}
+
+
+class TestArtifactSchema:
+    @pytest.mark.parametrize("name", sorted(SCHEMA))
+    def test_key_tree(self, runs, name):
+        assert set(key_paths(read_json(runs / name))) == SCHEMA[name]
+
+    def test_solve_oracle_stdout(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1 1.0\n1 2 1.0\n0 2 2.0\n")
+        assert run("solve", "--input", edges, "--vs", "0", "--vt", "1", "--oracle") == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(key_paths(printed)) == ROUTE_KEYS | {"oracle_length", "optimality_gap"}
+
+
+class Color(enum.Enum):
+    RED = "red"
+
+
+@dataclass
+class Inner:
+    xy: np.ndarray
+    kind: Color
+
+
+@dataclass
+class Outer:
+    inner: Inner
+    ids: set
+    n: int
+
+
+class TestEncoder:
+    """dump_json writes NumPy values, enums, sets and dataclasses as the
+    explicit Python conversion of each would."""
+
+    @pytest.mark.parametrize("value, plain", [
+        (np.float64(0.1), 0.1),
+        (np.int64(-7), -7),
+        (np.bool_(True), True),
+        (np.array(2.5), 2.5),
+        (np.arange(6, dtype=np.int64).reshape(2, 3), [[0, 1, 2], [3, 4, 5]]),
+        (np.array([[0.1, 1 / 3]]), [[0.1, 1 / 3]]),
+        (Color.RED, "red"),
+        ({3, 1, 2}, [1, 2, 3]),
+        (Outer(Inner(np.array([0.5, -1.0]), Color.RED), {np.int64(2), np.int64(0)}, 4),
+         {"inner": {"xy": [0.5, -1.0], "kind": "red"}, "ids": [0, 2], "n": 4}),
+    ], ids=["float64", "int64", "bool_", "0-d", "2-D int", "2-D float", "enum", "set",
+            "nested dataclass"])
+    def test_same_text_as_plain_python(self, value, plain):
+        assert dump_json({"v": value}) == dump_json({"v": plain})
+
+    @pytest.mark.parametrize("value", [object(), Inner, b"bytes", 1j])
+    def test_unknown_object_raises(self, value):
+        with pytest.raises(TypeError):
+            dump_json({"v": value})
 
 
 class TestKernelsMatchTheirOracles:

@@ -793,9 +793,10 @@ class TestCenterClosestOracle:
         probes = np.vstack([rng.uniform([-0.2, -0.2], [4.4, 1.2], (300, 2)),
                             *pts,  # probes at boundary points
                             *[(a + b) / 2 for a, b in pairs]])  # and at pair midpoints
+        centers = np.array([b.center for b in bs])
         want = []
         for p in probes:
-            near = np.argsort(np.linalg.norm(checker.centers - p, axis=1), kind="stable")
+            near = np.argsort(np.linalg.norm(centers - p, axis=1), kind="stable")
             want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, m, rule)
                             for j in near[:n_candidates]))
         assert checker.points_inside(probes).tolist() == want

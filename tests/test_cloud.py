@@ -500,7 +500,7 @@ class TestRansacBitExact:
 class TestTransforms:
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(RigidTransform.identity().apply(p), p)
+        np.testing.assert_allclose(RigidTransform(np.eye(3), np.zeros(3)).apply(p), p)
 
     def test_seven_cm_offset(self):
         t = RigidTransform(np.eye(3), np.array([0.0, 0.0, -0.07]))
@@ -553,5 +553,5 @@ class TestProjection:
 
     def test_transform_cloud_retags(self):
         c = PointCloud(np.zeros((2, 3)), Frame.CAMERA)
-        out = transform_cloud(c, RigidTransform.identity())
+        out = transform_cloud(c, RigidTransform(np.eye(3), np.zeros(3)))
         assert out.frame is Frame.ROBOT_BASE

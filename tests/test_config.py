@@ -116,3 +116,24 @@ def test_byte_order_mark_is_dropped(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_bytes(codecs.BOM_UTF8 + json.dumps({"seed": 7}).encode())
     assert config.load_config(path)["seed"] == 7
+
+
+def test_integer_of_a_float_key_is_stored_as_a_float(tmp_path):
+    float_keys = [key for key, (_, kind, _) in config._KEYS.items() if kind is float]
+    assert "boundary.alpha_s" in float_keys
+    for key in float_keys:
+        value = reduce(operator.getitem, key.split("."), load_override(tmp_path, key, 1))
+        assert type(value) is float and value == 1.0, key
+    # so an artifact writes the value one way: the top-level alpha_s of
+    # clusters.json as its boundaries' alpha_s
+    scene, cfg = tmp_path / "scene", tmp_path / "int.json"
+    assert main(["synth", "--shape", "l", "--density", "1500", "--seed", "1",
+                 "--out", str(scene)]) == 0
+    cfg.write_text(json.dumps({"boundary": {"alpha_s": 1, "eps_border": 2, "l_b": 0.01},
+                               "planner": {"max_iters": 0}}))
+    assert main(["navigate", "--input", str(scene / "cloud.csv"), "--config", str(cfg),
+                 "--seed", "1", "--out", str(tmp_path / "out")]) in (0, 2)
+    text = (tmp_path / "out" / "clusters.json").read_text()
+    clusters = json.loads(text)
+    assert type(clusters["alpha_s"]) is float and type(clusters["eps_border"]) is float
+    assert text.count('"alpha_s":1.0,') == 1 + len(clusters["boundaries"])

@@ -25,15 +25,34 @@ def _uses(node, defining=()):
         yield from _uses(child, defining)
 
 
-def test_every_exported_name_has_a_caller():
-    # a use inside the name's own definition, or in the package's
-    # __init__.py, does not count; bench/ counts as a caller
+def _used_names():
+    """Names used in the package and bench/, outside their own definition
+    and outside the package's __init__.py."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "bench").glob("*.py"))
-    used = {name for path in files
+    return {name for path in files
             for name, defining in _uses(ast.parse(path.read_text()))
             if name not in defining}
+
+
+def test_every_exported_name_has_a_caller():
+    used = _used_names()
     assert [n for n in steelnav.__all__ if n not in used] == []
+
+
+def test_every_public_member_has_a_caller():
+    # the public methods and properties of every class in the package:
+    # code that only tests call does not ship
+    members = [(f"{path.stem}.{cls.name}", f.name)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for f in cls.body
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not f.name.startswith("_")]
+    assert members
+    used = _used_names()
+    assert [f"{cls}.{name}" for cls, name in members if name not in used] == []
 
 
 def test_no_private_imports_across_modules():

@@ -272,7 +272,7 @@ class TestVocpp:
             g = Multigraph.build(vertices, edges)
             v_s, v_t = vertices[0], vertices[-1]
             plan = vocpp(g, v_s, v_t)
-            w = g.total_weight()
+            w = sum(w for _, _, w in g.edges)
             assert w - 1e-9 <= plan.total_length <= 2 * w + 1e-9
 
     def test_disconnected(self):

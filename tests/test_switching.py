@@ -22,6 +22,7 @@ from steelnav.errors import EmptyBoundary
 PAPER_FOOT = FootParams(width=0.2, length=0.3, tolerance=0.02,
                         n_anchors=5, m_neighbors=3)
 Z_NORMAL = np.array([0.0, 0.0, 1.0])
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 
 def first_pose(b, centroid, normal, fp):
@@ -55,7 +56,8 @@ class TestAreaCheck:
         b, centroid = plane_boundary(1.0)
         pose = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
         assert pose is not None
-        assert pose.orthonormality_residual() <= 1e-6
+        r = np.column_stack([pose.e_x, pose.e_y, pose.e_z])
+        np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-6)
 
     def test_insufficient_square(self):
         b, centroid = plane_boundary(0.05, n=500)
@@ -134,17 +136,17 @@ class TestAreaCheck:
 
 class TestHeightAvailable:
     def test_zero_difference(self):
-        assert height_available(np.zeros(3), RigidTransform.identity(),
+        assert height_available(np.zeros(3), IDENTITY,
                                 base_height=0.0, tol=0.01)
 
     def test_seven_cm_lower(self):
         centroid = np.array([0.0, 0.0, -0.07])
-        assert not height_available(centroid, RigidTransform.identity(),
+        assert not height_available(centroid, IDENTITY,
                                     base_height=0.0, tol=0.01)
 
     def test_exactly_at_tolerance(self):
         centroid = np.array([0.0, 0.0, 0.01])
-        assert height_available(centroid, RigidTransform.identity(),
+        assert height_available(centroid, IDENTITY,
                                 base_height=0.0, tol=0.01)
 
     def test_transform_applied(self):
@@ -173,13 +175,12 @@ class TestSwitchDecision:
 
     def test_pose_consistency_enforced(self):
         # S_am is read from the pose, so the two cannot disagree: a call
-        # that passes S_am next to the pose is refused, and the JSON
-        # follows the pose
+        # that passes S_am next to the pose is refused
         with pytest.raises(TypeError):
             switch_decision(True, True, True, None)
         for pose in (None, unit_pose()):
             d = switch_decision(True, True, pose)
-            assert d.to_json()["s_am"] == (pose is not None)
+            assert d.s_am == (pose is not None)
 
     def test_non_orthonormal_pose_rejected(self):
         with pytest.raises(ValueError):
