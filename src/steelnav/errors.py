@@ -60,7 +60,9 @@ class TooFewPoints(SteelNavError):
 
 
 class SingularCovariance(SteelNavError):
-    pass
+    def __init__(self, component):
+        super().__init__(f"component {component} covariance not SPD")
+        self.component = component
 
 
 # --- graph ---------------------------------------------------------------

@@ -66,10 +66,11 @@ def _kmeanspp_means(points, k, rng):
     return means
 
 
-def _offsets(points, means, dx=None, dy=None):
-    """(k, N) offsets of the points from each mean, one array per coordinate."""
-    return (np.subtract(points[:, 0], means[:, :1], out=dx),
-            np.subtract(points[:, 1], means[:, 1:], out=dy))
+def _offsets(xy, means, dx=None, dy=None):
+    """(k, N) offsets of the points from each mean, one array per coordinate;
+    `xy` holds the points' x and y as its two rows."""
+    return (np.subtract(xy[0], means[:, :1], out=dx),
+            np.subtract(xy[1], means[:, 1:], out=dy))
 
 
 def _covariances(a, b, c):
@@ -95,7 +96,7 @@ def _log_gaussians(dx, dy, a, b, c, out=None, tmp=None):
     # an infinite or NaN entry makes det infinite or NaN too
     bad = ~((a > 0) & (det > 0) & np.isfinite(det))
     if bad.any():
-        raise SingularCovariance(f"component {int(np.argmax(bad))} covariance not SPD")
+        raise SingularCovariance(int(np.argmax(bad)))
     out = np.multiply(c[:, None], dx, out=out)
     out *= dx
     tmp = np.multiply((2.0 * b)[:, None], dx, out=tmp)
@@ -112,20 +113,22 @@ def _log_gaussians(dx, dy, a, b, c, out=None, tmp=None):
 
 
 def _logsumexp_components(log_prob, buf, top):
-    """Per point, log(sum(exp(.))) over the k components of (k, N) `log_prob`.
+    """Per point, log(sum(exp(.))) over the components: the k axis of (k, N)
+    `log_prob`, or of (R, k, N) with one (k, N) block per restart.
 
     SciPy's formula: the m terms equal to the column maximum are taken out,
     log1p(s / m) + log(m) + max.  `buf` and the bool `top` are overwritten.
     """
-    a_max = log_prob.max(axis=0)
-    np.equal(log_prob, a_max, out=top)
+    a_max = log_prob.max(axis=-2)
+    col_max = a_max[..., None, :]
+    np.equal(log_prob, col_max, out=top)
     # only a maximum minus itself can be invalid (inf - inf); it is zeroed
     with np.errstate(invalid="ignore"):
-        np.subtract(log_prob, a_max, out=buf)
+        np.subtract(log_prob, col_max, out=buf)
     np.exp(buf, out=buf)
     np.putmask(buf, top, 0.0)
-    s = buf.sum(axis=0)
-    m = top.sum(axis=0, dtype=float)
+    s = buf.sum(axis=-2)
+    m = top.sum(axis=-2, dtype=float)
     # in place, adding in the docstring's order so each float rounds as in it
     s /= m
     log_norm = np.log1p(s, out=s)
@@ -134,15 +137,17 @@ def _logsumexp_components(log_prob, buf, top):
     return log_norm
 
 
-def _m_step(points, resp, floor, dx, dy, tmp):
-    """Weights, means and floored covariance entries a, b, c from (k, N)
-    responsibilities.  The new means' offsets go into dx and dy; `resp` and
-    `tmp` are overwritten."""
+def _m_step(points, xy, resp, k, floor, dx, dy, tmp):
+    """Weights, means and floored covariance entries a, b, c from (R·k, N)
+    responsibilities, one block of k rows per restart.  The new means'
+    offsets go into dx and dy; `resp` and `tmp` are overwritten."""
     n = resp.shape[1]
     nk = resp.sum(axis=1)
     nk_safe = np.maximum(nk, 1e-300)
-    means = (resp @ points) / nk_safe[:, None]
-    _offsets(points, means, dx, dy)
+    # one product per restart: BLAS rounds a product over R·k rows otherwise
+    means = np.concatenate([resp[i:i + k] @ points for i in range(0, len(resp), k)])
+    means /= nk_safe[:, None]
+    _offsets(xy, means, dx, dy)
     # sums of resp·dx·dx, resp·dx·dy and resp·dy·dy, multiplied left to right
     rdx = np.multiply(resp, dx, out=tmp)
     resp *= dy
@@ -154,34 +159,98 @@ def _m_step(points, resp, floor, dx, dy, tmp):
     return nk / n, means, a, b, c
 
 
-def _em_once(points, k, rng, max_iter, rel_tol, floor):
-    means = _kmeanspp_means(points, k, rng)
-    weights = np.full(k, 1.0 / k)
-    iso = max(float(np.var(points, axis=0).mean()), floor)
-    a, b, c = np.full(k, iso), np.zeros(k), np.full(k, iso)
-    # (k, N) buffers for the whole fit.  The M-step leaves the new means'
-    # offsets in dx, dy for the next E-step; log_prob turns into the
-    # responsibilities in place.
-    dx, dy = _offsets(points, means)
-    log_prob, tmp = np.empty_like(dx), np.empty_like(dx)
-    top = np.empty(dx.shape, dtype=bool)
+def _stops(history, max_iter, rel_tol):
+    """Whether a fit with this log-likelihood history stops: at `max_iter`
+    iterations, or when the last step gained less than `rel_tol` of the
+    log-likelihood after a finite one."""
+    if len(history) >= max_iter:
+        return True
+    if len(history) < 2:
+        return False
+    ll, prev_ll = history[-1], history[-2]
+    return ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll)
 
-    history = []
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        _log_gaussians(dx, dy, a, b, c, log_prob, tmp)
-        log_prob += np.log(weights)[:, None]
-        log_norm = _logsumexp_components(log_prob, tmp, top)
-        ll = float(log_norm.sum())
-        history.append(ll)
-        log_prob -= log_norm
-        weights, means, a, b, c = _m_step(
-            points, np.exp(log_prob, out=log_prob), floor, dx, dy, tmp)
 
-        if ll - prev_ll < rel_tol * max(abs(ll), 1.0) and np.isfinite(prev_ll):
+def _em_restarts(points, k, seed, max_iter, rel_tol, restarts, floor):
+    """The fit of every restart r, in restart order, each from its own
+    k-means++ seeds drawn from `default_rng([seed, r])`.
+
+    The restarts run in lockstep: the live restarts' components are the
+    rows of (R·k, N) buffers, so each EM step makes every elementwise pass
+    once for all of them.  Each restart keeps its own log-likelihood
+    history and stopping test, and one that stops is compacted out.  Every
+    float rounds as in a fit of that restart alone.  A restart fails on a
+    covariance that is not SPD (SingularCovariance) or in its seeding; the
+    fit raises the failure of the lowest-index restart that fails, as a
+    loop over the restarts that stops at the first failure would.
+    """
+    n = len(points)
+    xy = np.ascontiguousarray(points.T)
+    seeds, failure = [], None
+    for r in range(restarts):
+        try:
+            seeds.append(_kmeanspp_means(points, k, np.random.default_rng([seed, r])))
+        except ValueError as e:  # NaN seeding weights, from distances that overflow
+            if r == 0:
+                raise
+            # restart r fails before its first step: only the earlier ones run
+            failure = e
             break
-        prev_ll = ll
-    return GmmModel(weights, means, _covariances(a, b, c), history[-1], tuple(history))
+    means = np.concatenate(seeds)
+    rows = len(means)
+    weights = np.full(rows, 1.0 / k)
+    iso = max(float(np.var(points, axis=0).mean()), floor)
+    a, b, c = np.full(rows, iso), np.zeros(rows), np.full(rows, iso)
+    # (R·k, N) buffers for all the restarts, of which the live ones use the
+    # first rows.  The M-step leaves the new means' offsets in dx, dy for
+    # the next E-step; log_prob turns into the responsibilities in place.
+    dx_buf, dy_buf = _offsets(xy, means)
+    log_prob_buf, tmp_buf = np.empty_like(dx_buf), np.empty_like(dx_buf)
+    top_buf = np.empty(dx_buf.shape, dtype=bool)
+
+    live = list(range(len(seeds)))
+    history = [[] for _ in live]
+    fits = [None] * restarts
+    while live:
+        rows = len(live) * k
+        dx, dy, log_prob, tmp, top = (
+            buf[:rows] for buf in (dx_buf, dy_buf, log_prob_buf, tmp_buf, top_buf))
+        try:
+            _log_gaussians(dx, dy, a, b, c, log_prob, tmp)
+        except SingularCovariance as e:
+            if e.component < k:  # the lowest live restart: no earlier one can fail
+                raise
+            # the restarts after this one no longer matter; the earlier ones go on
+            failure = SingularCovariance(e.component % k)
+            del live[e.component // k:]
+            rows = len(live) * k
+            a, b, c, weights, means = (v[:rows] for v in (a, b, c, weights, means))
+            continue
+        log_prob += np.log(weights)[:, None]
+        blocks = log_prob.reshape(len(live), k, n)
+        log_norm = _logsumexp_components(blocks, tmp.reshape(blocks.shape),
+                                         top.reshape(blocks.shape))
+        for r, restart_norm in zip(live, log_norm):
+            history[r].append(float(restart_norm.sum()))
+        blocks -= log_norm[:, None, :]
+        weights, means, a, b, c = _m_step(
+            points, xy, np.exp(log_prob, out=log_prob), k, floor, dx, dy, tmp)
+
+        stop = [_stops(history[r], max_iter, rel_tol) for r in live]
+        if any(stop):
+            for i in np.flatnonzero(stop):
+                r, own = live[i], slice(i * k, (i + 1) * k)
+                fits[r] = GmmModel(weights[own], means[own],
+                                   _covariances(a[own], b[own], c[own]),
+                                   history[r][-1], tuple(history[r]))
+            keep = np.repeat(np.logical_not(stop), k)
+            live = [r for r, done in zip(live, stop) if not done]
+            rows = len(live) * k
+            dx_buf[:rows], dy_buf[:rows] = dx[keep], dy[keep]
+            a, b, c, weights, means = (v[keep] for v in (a, b, c, weights, means))
+    if failure is not None:
+        raise failure
+    return fits
 
 
 def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
@@ -189,34 +258,33 @@ def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
     """Full-covariance 2D EM with k-means++ seeding and restarts.
 
     Deterministic given `seed`; the best of `restarts` runs by final
-    log-likelihood is returned.  Covariances carry a diagonal floor
-    derived from the data scale, which keeps thin-bar fits from
-    collapsing.
+    log-likelihood is returned, the first on a tie.  The restarts run in
+    lockstep (`_em_restarts`), each as it would alone.  Covariances carry a
+    diagonal floor derived from the data scale, which keeps thin-bar fits
+    from collapsing.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (N, 2)")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if k < 1 or len(points) < k:
         raise TooFewPoints(f"need at least k={k} points, got {len(points)}")
 
     sample_cov = np.cov(points.T) if len(points) > 1 else np.zeros((2, 2))
     floor = max(_COV_FLOOR_SCALE * float(np.trace(np.atleast_2d(sample_cov))) / 2.0,
                 1e-12)
-
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        model = _em_once(points, k, rng, max_iter, rel_tol, floor)
-        if best is None or model.log_likelihood > best.log_likelihood:
-            best = model
-    return best
+    fits = _em_restarts(points, k, seed, max_iter, rel_tol, restarts, floor)
+    return max(fits, key=lambda model: model.log_likelihood)
 
 
 def assign_clusters(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """Hard labels by maximum posterior; ties break to the lowest index."""
     points = np.asarray(points, dtype=float)
     cov = model.covariances
-    log_prob = _log_gaussians(*_offsets(points, model.means),
+    log_prob = _log_gaussians(*_offsets(points.T, model.means),
                               cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
     log_prob += np.log(np.maximum(model.weights, 1e-300))[:, None]
     return np.argmax(log_prob, axis=0)

@@ -543,7 +543,7 @@ def _log_gaussians(points, means, covariances):
     # an infinite or NaN entry makes det infinite or NaN too
     bad = ~((a > 0) & (det > 0) & np.isfinite(det))
     if bad.any():
-        raise SingularCovariance(f"component {int(np.argmax(bad))} covariance not SPD")
+        raise SingularCovariance(int(np.argmax(bad)))
     dx = points[:, 0] - means[:, :1]  # (k, N)
     dy = points[:, 1] - means[:, 1:]
     maha = (c[:, None] * dx * dx - 2.0 * b[:, None] * dx * dy

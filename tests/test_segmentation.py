@@ -1,4 +1,3 @@
-import copy
 from fractions import Fraction
 import math
 
@@ -11,7 +10,7 @@ from steelnav import segmentation
 from steelnav.errors import SingularCovariance, TooFewPoints
 from steelnav.segmentation import (
     _covariances,
-    _em_once,
+    _em_restarts,
     _log_gaussians,
     _logsumexp_components,
     _m_step,
@@ -78,10 +77,15 @@ class TestEmGmmFit:
         with pytest.raises(ValueError):
             em_gmm_fit(np.zeros((5, 3)), k=1)
 
+    @pytest.mark.parametrize("arg", ["restarts", "max_iter"])
+    def test_zero_runs_or_iterations(self, arg):
+        with pytest.raises(ValueError, match=f"^{arg} must be >= 1"):
+            em_gmm_fit(two_blobs()[0], k=2, **{arg: 0})
+
 
 def log_gaussians(points, means, covs):
     """The package's log-density kernel as an (N, k) array."""
-    return _log_gaussians(*_offsets(points, means),
+    return _log_gaussians(*_offsets(points.T, means),
                           covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]).T
 
 
@@ -96,8 +100,9 @@ def m_step(points, resp, floor):
     covariances; it must leave the new means' offsets in dx, dy."""
     resp = resp.T.copy()  # the M-step overwrites it
     dx, dy, tmp = (np.empty_like(resp) for _ in range(3))
-    weights, means, a, b, c = _m_step(points, resp, floor, dx, dy, tmp)
-    want_dx, want_dy = _offsets(points, means)
+    weights, means, a, b, c = _m_step(points, points.T, resp, len(resp), floor,
+                                      dx, dy, tmp)
+    want_dx, want_dy = _offsets(points.T, means)
     np.testing.assert_array_equal(dx, want_dx)
     np.testing.assert_array_equal(dy, want_dy)
     return weights, means, _covariances(a, b, c)
@@ -236,29 +241,45 @@ class TestMStep:
             np.testing.assert_array_equal(got[2], got[2].transpose(0, 2, 1))
 
 
+def sequential(em_once):
+    """An `_em_restarts` that runs `em_once` on each restart in turn: a
+    failure raises at once, so later restarts never run."""
+    def run(points, k, seed, max_iter, rel_tol, restarts, floor):
+        return [em_once(points, k, np.random.default_rng([seed, r]), max_iter,
+                        rel_tol, floor) for r in range(restarts)]
+    return run
+
+
+def recorded(monkeypatch, em_restarts):
+    """Patch `_em_restarts` to run `em_restarts` and record each call's
+    arguments and per-restart fits."""
+    calls = []
+
+    def recording(*args):
+        fits = em_restarts(*args)
+        calls.append((args, fits))
+        return fits
+
+    monkeypatch.setattr(segmentation, "_em_restarts", recording)
+    return calls
+
+
 class TestEmRegression:
-    """Whole fits against the per-component Cholesky E-step, SciPy's
-    logsumexp and the per-component M-step."""
+    """Every restart of every fit against the per-component Cholesky
+    E-step, SciPy's logsumexp and the per-component M-step."""
 
     @staticmethod
-    def run(pts, monkeypatch, em_once):
-        fits = []
-
-        def recording(*args):
-            model = em_once(*args)
-            fits.append(model.ll_history)
-            return model
-
+    def run(pts, monkeypatch, em_restarts):
         with monkeypatch.context() as m:
-            m.setattr(segmentation, "_em_once", recording)
+            calls = recorded(m, em_restarts)
             cs = segment_structure(pts, 2, 6, 0.06, 0.04, 0.02, seed=1)
-        return cs, fits
+        return cs, [fit.ll_history for _, fits in calls for fit in fits]
 
     def test_cross_matches_reference(self, monkeypatch):
         spec = StructureSpec(Shape.CROSS, density=4000, noise_sigma=0.004, seed=1)
         pts = generate(spec)[0].points[:, :2]
-        got, got_fits = self.run(pts, monkeypatch, _em_once)
-        ref, ref_fits = self.run(pts, monkeypatch, oracles.em_once)
+        got, got_fits = self.run(pts, monkeypatch, _em_restarts)
+        ref, ref_fits = self.run(pts, monkeypatch, sequential(oracles.em_once))
         np.testing.assert_array_equal(got.labels, ref.labels)
         assert got.n_c == ref.n_c
         assert got.ratio_table == ref.ratio_table
@@ -271,46 +292,104 @@ class TestEmRegression:
 
 
 class TestEmBitExact:
-    """Every fit rounds every float as the EM iteration that allocates a
-    temporary per step (oracles.allocating_em_once)."""
+    """Every restart of every fit rounds every float as the EM iteration
+    that allocates a temporary per step (oracles.allocating_em_once), run
+    alone, and the fit returns the first restart of highest
+    log-likelihood."""
 
     @staticmethod
     def check(monkeypatch, pts, ks, seed):
-        fits = []
-
-        def recording(points, k, rng, *rest):
-            args = (points, k, copy.deepcopy(rng), *rest)
-            model = _em_once(points, k, rng, *rest)
-            fits.append((args, model))
-            return model
-
-        monkeypatch.setattr(segmentation, "_em_once", recording)
+        """Fits each count in `ks`; returns every restart's iteration count,
+        one list per count."""
+        calls = recorded(monkeypatch, _em_restarts)
+        iterations = []
         for k in ks:
-            em_gmm_fit(pts, k, seed=seed)
-        for args, got in fits:
-            want = oracles.allocating_em_once(*args)
-            assert got.ll_history == want.ll_history
-            for name in ("weights", "means", "covariances"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        return len(fits)
+            best = em_gmm_fit(pts, k, seed=seed)
+            (points, _, _, max_iter, rel_tol, restarts, floor), fits = calls[-1]
+            assert len(fits) == restarts == 3
+            for r, got in enumerate(fits):
+                want = oracles.allocating_em_once(
+                    points, k, np.random.default_rng([seed, r]), max_iter, rel_tol, floor)
+                assert got.ll_history == want.ll_history
+                assert got.log_likelihood == want.log_likelihood
+                for name in ("weights", "means", "covariances"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            first_best = 0
+            for r, fit in enumerate(fits):
+                if fit.log_likelihood > fits[first_best].log_likelihood:
+                    first_best = r
+            assert best is fits[first_best]
+            iterations.append([len(fit.ll_history) for fit in fits])
+        return iterations
 
     @pytest.mark.parametrize("density, n_cmax", [(4000, 6), (2000, 5)])
     def test_navigate_bench_scenes(self, monkeypatch, density, n_cmax):
         # the cross scenes and cluster counts of the navigate benchmark
         # workloads at bench seed 1, whose offset moves the seed-1 scene;
-        # segment_structure seeds count n_c with 1009 * seed + n_c
+        # segment_structure seeds count n_c with 1009 * seed + n_c.  k = 2,
+        # 3, 5 and 6 are the counts whose stacked product would round otherwise
         spec = StructureSpec(Shape.CROSS, density=density, noise_sigma=0.004, seed=1)
         pts = generate(spec)[0].points[:, :2] + np.random.default_rng(1).uniform(-1.0, 1.0, 2)
-        for n_c in range(2, n_cmax + 1):
-            assert self.check(monkeypatch, pts, [n_c], 1009 + n_c) == 3
+        iterations = [self.check(monkeypatch, pts, [n_c], 1009 + n_c)[0]
+                      for n_c in range(2, n_cmax + 1)]
+        if density == 4000:
+            # 7 of the 15 fits stop at max_iter; at some counts others stop
+            # early, so the lockstep compacts them out while the rest go on
+            assert sum(its.count(200) for its in iterations) == 7
+            assert any(200 in its and min(its) < 200 for its in iterations)
 
     def test_one_component(self, monkeypatch):
-        assert self.check(monkeypatch, two_blobs(seed=6)[0], [1], 2) == 3
+        self.check(monkeypatch, two_blobs(seed=6)[0], [1], 2)
 
     def test_identical_points_tie_every_column(self, monkeypatch):
         # every component has the same density at every point
         pts = np.full((40, 2), 0.3)
-        assert self.check(monkeypatch, pts, [2, 3], 5) == 6
+        assert len(self.check(monkeypatch, pts, [2, 3], 5)) == 2
+
+
+class TestSingularFit:
+    """Points whose squared coordinates overflow: some restarts meet a
+    covariance that is not SPD, at different steps and components.  The fit
+    raises what a loop over the restarts that stops at the first failure
+    raises."""
+
+    @staticmethod
+    def check(monkeypatch, pts, k, seed, message):
+        with np.errstate(all="ignore"):
+            with pytest.raises(SingularCovariance, match=message) as got:
+                em_gmm_fit(pts, k, seed=seed)
+            monkeypatch.setattr(segmentation, "_em_restarts",
+                                sequential(oracles.allocating_em_once))
+            with pytest.raises(SingularCovariance) as want:
+                em_gmm_fit(pts, k, seed=seed)
+        assert str(got.value) == str(want.value)
+        assert got.value.component == want.value.component
+
+    @pytest.mark.parametrize("cloud_seed, k, first_ok, message", [
+        (12, 3, True, "component 1 "),  # restarts 1 and 2 fail at one step
+        (17, 5, True, "component 2 "),  # restart 1 alone fails
+        (16, 5, False, "component 4 "),  # restart 0 fails, after 3 steps
+        (430, 3, True, "component 1 "),  # restart 2 fails a step before 1
+    ])
+    def test_same_error_as_sequential(self, monkeypatch, cloud_seed, k, first_ok,
+                                      message):
+        pts = np.random.default_rng(cloud_seed).normal(0.0, 1.0, (100, 2))
+        pts[:8] *= 1.3e77
+        if first_ok:
+            with np.errstate(all="ignore"):
+                em_gmm_fit(pts, k, seed=k, restarts=1)
+        self.check(monkeypatch, pts, k, seed=k, message=message)
+
+    def test_later_seeding_failure(self, monkeypatch):
+        # restart 1's k-means++ weights do not sum to 1 once squared
+        # distances near the float range are summed, a NumPy ValueError; the
+        # loop never got there, as restart 0 met a singular covariance first
+        far = np.array([[-0.938e152, -2.346e153], [1.680e153, -1.565e153],
+                        [-3.537e153, -0.985e153]])
+        pts = np.vstack([far, np.random.default_rng(0).normal(0.0, 1.0, (80, 2))])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="sum to 1"):
+            segmentation._kmeanspp_means(pts, 6, np.random.default_rng([595, 1]))
+        self.check(monkeypatch, pts, 6, seed=595, message="component 0 ")
 
 
 class TestAssignClusters:
