@@ -9,7 +9,6 @@ from .boundary import (
     Border,
     Boundary,
     are_neighbors,
-    center_closest,
     cluster_border,
     default_alpha_s,
     ncbe,
@@ -58,8 +57,7 @@ from .switching import (
 from .synth import Shape, StructureSpec, generate
 
 __all__ = [
-    "Border", "Boundary", "are_neighbors", "center_closest", "cluster_border",
-    "default_alpha_s", "ncbe",
+    "Border", "Boundary", "are_neighbors", "cluster_border", "default_alpha_s", "ncbe",
     "Frame", "PlanePatch", "PointCloud", "RigidTransform", "extract_plane_ransac",
     "load_cloud", "passthrough_filter", "project_to_2d", "transform_cloud",
     "voxel_downsample",

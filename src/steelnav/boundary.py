@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyBoundary, EmptyInput, InvalidAlpha
+from .errors import EmptyInput, InvalidAlpha
 
 _BLOCK_ELEMS = 1 << 13  # bounds each block of the pair scan (windows x rows x k)
 # a window with this many survivors of the reach prune, as a round one, is
@@ -462,17 +462,6 @@ def _plane_norm(diff: np.ndarray) -> np.ndarray:
     for t in diff[1:]:
         acc += t
     return np.sqrt(acc, out=acc)
-
-
-def center_closest(points: np.ndarray, boundary: np.ndarray, center: np.ndarray,
-                   m: int, rule: str = "all", tol: float = 0.0) -> np.ndarray:
-    """CenterClosest against one boundary: points (P, d) or (d,); boundary
-    (L, d); center (d,)."""
-    q = np.asarray(boundary, dtype=float)
-    test = CenterClosest([q], [center], 1, m, rule, tol)
-    if len(q) == 0:
-        raise EmptyBoundary("boundary has no points")
-    return test(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def cluster_border(a: Boundary, b: Boundary, eps_border: float) -> Border:

@@ -16,7 +16,9 @@ class ParseError(SteelNavError):
 
 
 class InvalidPoints(SteelNavError, ValueError):
-    """Points that are not an (N, 3) array of finite numbers."""
+    """Points that are not an (N, 3) array of finite numbers, or whose
+    squared distances overflow in k-means++ seeding; there it keeps the
+    text of NumPy's ValueError on the seeding weights."""
 
 
 class InvalidRange(SteelNavError):

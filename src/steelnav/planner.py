@@ -100,11 +100,6 @@ def segment_footprints(states: np.ndarray, fp: Footprint) -> np.ndarray:
     return fp.offsets @ rot.transpose(0, 2, 1) + states[:, None, :2]
 
 
-def footprint_points(c: Config, fp: Footprint) -> np.ndarray:
-    """(9, 2) footprint points of one configuration."""
-    return segment_footprints(np.array([[c.x, c.y, c.theta]]), fp)[0]
-
-
 class PibcChecker:
     """Footprint checks: CenterClosest in the plane against the clusters'
     boundaries, a point valid when inside one of its `n_candidates` nearest.
@@ -134,7 +129,8 @@ class PibcChecker:
     def check(self, c: Config, fp: Footprint) -> bool:
         key = (c, fp)
         if key not in self._verdicts:
-            self._verdicts[key] = bool(np.all(self.points_inside(footprint_points(c, fp))))
+            pts = segment_footprints(np.array([[c.x, c.y, c.theta]]), fp)[0]
+            self._verdicts[key] = bool(np.all(self.points_inside(pts)))
         return self._verdicts[key]
 
 

@@ -73,17 +73,6 @@ class AugmentedGraph:
     duplicated: tuple  # of (u, v, w, base_edge_idx)
     provenance: str  # "TJoin", "TJoinGreedy" or "BruteForce"
 
-    def combined_edges(self):
-        """Base edges then duplicates, each tagged with its base edge index."""
-        out = [(u, v, w, i) for i, (u, v, w) in enumerate(self.base.edges)]
-        out.extend(self.duplicated)
-        return out
-
-    def odd_set(self):
-        """Odd-degree vertices of the base edges and duplicates together."""
-        return odd_vertices(Multigraph(
-            self.base.vertices, tuple(e[:3] for e in self.combined_edges())))
-
 
 @dataclass(frozen=True)
 class RoutePlan:
@@ -268,20 +257,23 @@ def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
 def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     """Extract the trail over the augmented edge multiset (Hierholzer).
 
-    Each augmented edge is used exactly once; the walk starts at v_s and
-    ends at v_t (a circuit when they coincide).  A walk that misses an edge
-    or ends elsewhere, as on a disconnected edge multiset, raises
-    ParityViolation.
+    The edges are the base edges then the duplicates, each tagged with its
+    base edge index, and each is used exactly once; the walk starts at v_s
+    and ends at v_t (a circuit when they coincide).  A vertex's degree is
+    the length of its adjacency list.  Odd degrees other than at
+    {v_s} ^ {v_t}, or a walk that misses an edge or ends elsewhere, as on a
+    disconnected edge multiset, raise ParityViolation.
     """
     mg = ag.base
-    combined = ag.combined_edges()
-    if ag.odd_set() != {v_s} ^ {v_t}:
-        raise ParityViolation("odd-degree set does not match the trail endpoints")
-
+    combined = [(u, v, w, i) for i, (u, v, w) in enumerate(mg.edges)]
+    combined.extend(ag.duplicated)
     adj = {v: [] for v in mg.vertices}
-    for eid, (u, v, w, base_idx) in enumerate(combined):
+    for eid, (u, v, _, _) in enumerate(combined):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
+    if {v for v, nbrs in adj.items() if len(nbrs) % 2} != {v_s} ^ {v_t}:
+        raise ParityViolation("odd-degree set does not match the trail endpoints")
+
     for v in adj:
         adj[v].sort()  # deterministic traversal order
 

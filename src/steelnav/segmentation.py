@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import Border, Boundary, are_neighbors, cluster_border, ncbe
-from .errors import SingularCovariance, TooFewPoints
+from .errors import InvalidPoints, SingularCovariance, TooFewPoints
 
 _DEFAULT_RESTARTS = 3
 _COV_FLOOR_SCALE = 1e-6
@@ -61,7 +61,10 @@ def _kmeanspp_means(points, k, rng):
         if total <= 0:
             means[i] = points[rng.integers(n)]
         else:
-            means[i] = points[rng.choice(n, p=d2 / total)]
+            try:
+                means[i] = points[rng.choice(n, p=d2 / total)]
+            except ValueError as e:  # weights from overflowing distances
+                raise InvalidPoints(str(e)) from None
         d2 = np.minimum(d2, np.sum((points - means[i]) ** 2, axis=1))
     return means
 
@@ -190,7 +193,7 @@ def _em_restarts(points, k, seed, max_iter, rel_tol, restarts, floor):
     for r in range(restarts):
         try:
             seeds.append(_kmeanspp_means(points, k, np.random.default_rng([seed, r])))
-        except ValueError as e:  # NaN seeding weights, from distances that overflow
+        except InvalidPoints as e:
             if r == 0:
                 raise
             # restart r fails before its first step: only the earlier ones run

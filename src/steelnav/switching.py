@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Boundary, center_closest
+from .boundary import Boundary, CenterClosest
 from .cloud import PointCloud, RigidTransform
 from .errors import EmptyBoundary
 
@@ -101,11 +101,13 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
     e_z along the plane normal.  The w x l rectangle extends from the
     anchor toward the centroid; its 4 corners and 4 edge midpoints must
     all sit closer to the centroid than their m nearest boundary points
-    (up to relative tolerance t).
+    (up to relative tolerance t): one CenterClosest test, rule "all",
+    built once for every anchor.
     """
     if len(b) == 0:
         raise EmptyBoundary("boundary has no points")
     centroid = np.asarray(centroid, dtype=float)
+    inside = CenterClosest([b.points], [centroid], 1, fp.m_neighbors, "all", fp.tolerance)
     e_z = _unit(np.asarray(normal, dtype=float))
 
     order = np.argsort(np.linalg.norm(b.points - centroid, axis=1), kind="stable")
@@ -129,8 +131,7 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
         mids = [(c1 + c2) / 2, (c3 + c4) / 2, (c1 + c3) / 2, (c2 + c4) / 2]
 
         pose = None
-        if np.all(center_closest(np.array(corners + mids), b.points, centroid,
-                                 fp.m_neighbors, "all", fp.tolerance)):
+        if np.all(inside(np.array(corners + mids))):
             r_c = np.mean(corners, axis=0)
             position = r_c - (fp.length / 4.0) * e_y  # foot-placement bias
             pose = SurfacePose(e_x, e_y, e_z, position)

@@ -143,10 +143,11 @@ def generate(spec: StructureSpec) -> tuple[PointCloud, GroundTruth]:
     pts = []
     labels = []
     for idx, rect in enumerate(rects):
-        n = max(int(round(spec.density * rect.area)), 1)
-        if n > _MAX_POINTS:
+        count = spec.density * rect.area  # inf where the product overflows
+        if not count <= _MAX_POINTS:
             raise InvalidSpec(f"density {spec.density!r} gives more points in one "
                               f"rectangle than a NumPy array holds ({_MAX_POINTS})")
+        n = max(int(round(count)), 1)
         try:
             local = rng.uniform([-rect.length / 2, -rect.width / 2],
                                 [rect.length / 2, rect.width / 2], size=(n, 2))

@@ -34,7 +34,7 @@ from steelnav import (
     vocpp,
 )
 from steelnav.cli import main as cli_main
-from steelnav.planner import PibcChecker, footprint_points
+from steelnav.planner import PibcChecker, segment_footprints
 from steelnav.route import augment_for_open_trail
 from steelnav.segmentation import em_gmm_fit
 from steelnav.switching import area_check_candidates
@@ -116,7 +116,7 @@ class TestCriterion3EulerTrails:
             plan = euler_trail(ag, v_s, v_t)
             check_route_plan(plan, vertices, edges, v_s, v_t)
             # every augmented edge is used exactly once
-            ok &= sum(plan.edge_visits) == len(ag.combined_edges())
+            ok &= sum(plan.edge_visits) == len(ag.base.edges) + len(ag.duplicated)
         report(3, "100 augmented graphs yield valid Euler trails", ok)
 
 
@@ -167,8 +167,8 @@ class TestCriterion5Containment:
                     for rule in ("all", "any")}
         agreement = {rule: [0, 0] for rule in checkers}
         all_rule_leaks = 0
-        for c in configs:
-            pts = footprint_points(c, fp)
+        footprints = segment_footprints(np.array([[c.x, c.y, c.theta] for c in configs]), fp)
+        for c, pts in zip(configs, footprints):
             truth_inside = scene.contains_all(pts)
             clearance = scene.clearance(pts)
             for rule, checker in checkers.items():

@@ -11,13 +11,13 @@ from steelnav import segmentation
 from steelnav import (
     Boundary,
     are_neighbors,
-    center_closest,
     cluster_border,
     default_alpha_s,
     ncbe,
 )
+from steelnav.boundary import CenterClosest
 from steelnav.cli import main
-from steelnav.errors import EmptyBoundary, EmptyInput, InvalidAlpha
+from steelnav.errors import EmptyInput, InvalidAlpha
 from steelnav.planner import PibcChecker
 
 import oracles
@@ -145,14 +145,17 @@ def square_boundary():
     return ncbe(pts, 0.05)
 
 
+def center_closest_test(b, m, rule="all"):
+    """CenterClosest against the one boundary b."""
+    return CenterClosest([b.points], [b.center], 1, m, rule)
+
+
 class TestPointInBoundary:
     def test_center_inside(self, square_boundary):
-        assert center_closest(np.array([0.5, 0.5]), square_boundary.points,
-                              square_boundary.center, 5)[0]
+        assert center_closest_test(square_boundary, 5)(np.array([[0.5, 0.5]]))[0]
 
     def test_far_outside(self, square_boundary):
-        assert not center_closest(np.array([1.5, 0.5]), square_boundary.points,
-                                  square_boundary.center, 5)[0]
+        assert not center_closest_test(square_boundary, 5)(np.array([[1.5, 0.5]]))[0]
 
     def test_convex_polygon_agreement(self):
         k = 12
@@ -165,13 +168,13 @@ class TestPointInBoundary:
         samples = raw[inside_mask]
         b = ncbe(samples, 0.05)
         probes = np.random.default_rng(10).uniform(-0.2, 1.2, (500, 2))
+        inside = center_closest_test(b, 5)(probes)
         agree = 0
         counted = 0
-        for p in probes:
+        for p, got in zip(probes, inside):
             if dist_to_polygon_edge(p, polygon) < 0.02:
                 continue
             counted += 1
-            got = center_closest(p, b.points, b.center, 5)[0]
             want = point_in_polygon(p, polygon)
             agree += got == want
         assert counted > 0
@@ -179,20 +182,14 @@ class TestPointInBoundary:
 
     def test_any_rule_superset_of_all(self, square_boundary):
         rng = np.random.default_rng(11)
-        b = square_boundary
-        for p in rng.uniform(-0.2, 1.2, (200, 2)):
-            if center_closest(p, b.points, b.center, 5, "all")[0]:
-                assert center_closest(p, b.points, b.center, 5, "any")[0]
-
-    def test_empty_boundary(self):
-        b = Boundary(np.zeros((0, 2)), np.zeros(2), 0.1)
-        with pytest.raises(EmptyBoundary):
-            center_closest(np.zeros(2), b.points, b.center, 1)
+        probes = rng.uniform(-0.2, 1.2, (200, 2))
+        inside_all = center_closest_test(square_boundary, 5, "all")(probes)
+        inside_any = center_closest_test(square_boundary, 5, "any")(probes)
+        assert inside_any[inside_all].all()
 
     def test_bad_rule(self, square_boundary):
         with pytest.raises(ValueError):
-            center_closest(np.zeros(2), square_boundary.points, square_boundary.center, 1,
-                           "most")
+            center_closest_test(square_boundary, 1, "most")
 
 
 def grid_square_boundary(x0, y0, pitch=0.05):
@@ -760,7 +757,7 @@ class TestCenterClosestOracle:
     @pytest.mark.parametrize("m", [1, 3, 5, 100])
     def test_single_boundary(self, rule, tol, m):
         for boundary, center, probes in center_closest_cases():
-            got = center_closest(probes, boundary, center, m, rule, tol)
+            got = CenterClosest([boundary], [center], 1, m, rule, tol)(probes)
             want = [oracles.center_closest(p, boundary, center, m, rule, tol)
                     for p in probes]
             assert got.tolist() == want
@@ -768,10 +765,9 @@ class TestCenterClosestOracle:
     @pytest.mark.parametrize("rule", ["all", "any"])
     def test_point_in_boundary(self, rule):
         boundary, center, probes = center_closest_cases()[0]
-        b = Boundary(boundary, center, 1.0)
+        inside = center_closest_test(Boundary(boundary, center, 1.0), 4, rule)
         for p in probes:
-            assert center_closest(p, b.points, b.center, 4, rule)[0] == \
-                oracles.center_closest(p, boundary, center, 4, rule)
+            assert inside(p[None])[0] == oracles.center_closest(p, boundary, center, 4, rule)
 
     @pytest.mark.parametrize("rule", ["all", "any"])
     @pytest.mark.parametrize("m", [1, 6])
@@ -803,8 +799,6 @@ class TestCenterClosestOracle:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            center_closest(np.zeros((1, 2)), np.ones((3, 2)), np.zeros(2), 0)
+            CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 0, "all")
         with pytest.raises(ValueError):
-            center_closest(np.zeros((1, 2)), np.ones((3, 2)), np.zeros(2), 1, rule="most")
-        with pytest.raises(EmptyBoundary):
-            center_closest(np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(2), 1)
+            CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 1, "most")

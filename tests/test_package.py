@@ -40,6 +40,18 @@ def test_every_exported_name_has_a_caller():
     assert [n for n in steelnav.__all__ if n not in used] == []
 
 
+def test_every_public_definition_has_a_caller():
+    # the public module-level functions and classes, exported or not: a
+    # helper that only tests call does not ship
+    defs = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    assert defs
+    used = _used_names()
+    assert [d for d in defs if d.split(".")[1] not in used] == []
+
+
 def test_every_public_member_has_a_caller():
     # the public methods and properties of every class in the package:
     # code that only tests call does not ship

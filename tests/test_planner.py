@@ -34,7 +34,6 @@ from steelnav.planner import (
     _samples,
     _angle_dist,
     _wrap,
-    footprint_points,
     plan_route,
     segment_footprints,
 )
@@ -61,10 +60,15 @@ class TestConfig:
             Config(float("nan"), 0.0, 0.0)
 
 
+def states(*configs):
+    """The (x, y, theta) rows of configs, as segment_footprints takes them."""
+    return np.array([[c.x, c.y, c.theta] for c in configs])
+
+
 class TestFootprintPoints:
     def test_identity_pose(self):
         fp = Footprint(width=0.1, length=0.2)
-        pts = footprint_points(Config(0, 0, 0), fp)
+        (pts,) = segment_footprints(states(Config(0, 0, 0)), fp)
         assert len(pts) == 9
         corners = {tuple(p) for p in pts[:4]}
         assert (0.1, 0.05) in corners and (-0.1, -0.05) in corners
@@ -72,21 +76,20 @@ class TestFootprintPoints:
 
     def test_quarter_turn(self):
         fp = Footprint(width=0.1, length=0.2)
-        pts0 = footprint_points(Config(0, 0, 0), fp)
-        pts90 = footprint_points(Config(0, 0, math.pi / 2), fp)
+        pts0, pts90 = segment_footprints(
+            states(Config(0, 0, 0), Config(0, 0, math.pi / 2)), fp)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         np.testing.assert_allclose(pts90, pts0 @ rot.T, atol=1e-12)
 
     def test_translation(self):
         fp = Footprint(width=0.1, length=0.2)
-        pts = footprint_points(Config(2.0, -1.0, 0.4), fp)
-        base = footprint_points(Config(0, 0, 0.4), fp)
+        pts, base = segment_footprints(
+            states(Config(2.0, -1.0, 0.4), Config(0, 0, 0.4)), fp)
         np.testing.assert_allclose(pts, base + [2.0, -1.0], atol=1e-12)
 
     def test_rigidity(self):
         fp = Footprint(width=0.1, length=0.2)
-        a = footprint_points(Config(0, 0, 0), fp)
-        b = footprint_points(Config(1.3, 0.7, 1.1), fp)
+        a, b = segment_footprints(states(Config(0, 0, 0), Config(1.3, 0.7, 1.1)), fp)
         da = np.linalg.norm(a[:, None] - a[None, :], axis=2)
         db = np.linalg.norm(b[:, None] - b[None, :], axis=2)
         np.testing.assert_allclose(da, db, atol=1e-12)
@@ -250,10 +253,10 @@ class TestAgainstReference:
         raw = self.random_poses(np.random.default_rng(7), 2000)
         poses = [oracles.Pose(*p) for p in raw]
         want = np.stack([oracles.footprint_points(c, self.FP) for c in poses])
-        got = np.stack([footprint_points(Config(*p), self.FP) for p in raw])
+        # one row per call, as PibcChecker.check makes them, then all at once
+        got = np.stack([segment_footprints(states(Config(*p)), self.FP)[0] for p in raw])
         assert np.array_equal(got, want)
-        states = np.array([[c.x, c.y, c.theta] for c in poses])
-        assert np.array_equal(segment_footprints(states, self.FP), want)
+        assert np.array_equal(segment_footprints(states(*poses), self.FP), want)
 
     def test_segments_bit_equal_on_random_segments(self):
         # RRT extensions: at most one step (0.02) and theta_step (0.3) long

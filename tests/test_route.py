@@ -161,6 +161,12 @@ class TestMinWeightPairing:
         assert metric.reads <= 12_000
 
 
+def augmented_odd(ag):
+    """The odd-degree vertices of the base edges and duplicates together."""
+    return odd_vertices(Multigraph(ag.base.vertices,
+                                   ag.base.edges + tuple(d[:3] for d in ag.duplicated)))
+
+
 class TestAugmentation:
     def test_eulerian_case(self):
         ag = augment_for_open_trail(TRIANGLE, "A", "B")
@@ -175,7 +181,7 @@ class TestAugmentation:
     def test_target_odd(self):
         # PATH degrees: A=1 (odd), B=2 (even), C=1 (odd)
         ag = augment_for_open_trail(PATH, "B", "C")
-        assert ag.odd_set() == {"B", "C"}
+        assert augmented_odd(ag) == {"B", "C"}
         # T = {A, C} xor {B, C} = {A, B}: the A-B path is duplicated
         assert [d[:3] for d in ag.duplicated] == [("A", "B", 1.0)]
 
@@ -184,7 +190,7 @@ class TestAugmentation:
                                       ("C", "D", 1.0), ("B", "D", 1.0)])
         # degrees: A=1 (odd), B=3 (odd), C=2, D=2; source odd, target even
         ag = augment_for_open_trail(g, "A", "C")
-        assert ag.odd_set() == {"A", "C"}
+        assert augmented_odd(ag) == {"A", "C"}
 
     def test_both_even(self):
         g2 = Multigraph.build("ABCDE", [("A", "B", 1.0), ("B", "C", 1.0),
@@ -192,11 +198,11 @@ class TestAugmentation:
                                         ("E", "A", 1.0), ("B", "D", 1.0)])
         # odd set {B, D}; endpoints A, C both even
         ag2 = augment_for_open_trail(g2, "A", "C")
-        assert ag2.odd_set() == {"A", "C"}
+        assert augmented_odd(ag2) == {"A", "C"}
 
     def test_circuit_with_odd_set(self):
         ag = augment_for_open_trail(STAR, "O", "O")
-        assert ag.odd_set() == set()
+        assert augmented_odd(ag) == set()
 
     @pytest.mark.parametrize("n_leaves,provenance",
                              [(18, "TJoin"), (20, "TJoinGreedy")])
@@ -208,7 +214,7 @@ class TestAugmentation:
         g = Multigraph.build(["O"] + leaves, [("O", x, 1.0) for x in leaves])
         ag = augment_for_open_trail(g, leaves[0], leaves[1])
         assert ag.provenance == provenance
-        assert ag.odd_set() == {leaves[0], leaves[1]}
+        assert augmented_odd(ag) == {leaves[0], leaves[1]}
         assert len(ag.duplicated) == n_leaves - 2
 
 
@@ -223,7 +229,7 @@ class TestEulerTrail:
             ag = augment_for_open_trail(g, v_s, v_t)
             plan = euler_trail(ag, v_s, v_t)
             check_route_plan(plan, vertices, edges, v_s, v_t)
-            assert sum(plan.edge_visits) == len(ag.combined_edges())
+            assert sum(plan.edge_visits) == len(ag.base.edges) + len(ag.duplicated)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -240,6 +246,13 @@ class TestEulerTrail:
                                         ("D", "E", 1.0), ("E", "F", 1.0), ("F", "D", 1.0)])
         with pytest.raises(ParityViolation):
             euler_trail(AugmentedGraph(g, (), "TJoin"), "A", "A")
+
+    @pytest.mark.parametrize("v_s,v_t", [("A", "B"), ("B", "B"), ("A", "A")])
+    def test_odd_degrees_off_the_endpoints(self, v_s, v_t):
+        # PATH's odd degrees are at A and C: no trail from v_s to v_t
+        # covers it without augmentation
+        with pytest.raises(ParityViolation, match="odd-degree set does not match"):
+            euler_trail(AugmentedGraph(PATH, (), "TJoin"), v_s, v_t)
 
 
 class TestVocpp:

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from steelnav import Shape, StructureSpec, generate, ncbe, segment_structure
 from steelnav import segmentation
-from steelnav.errors import SingularCovariance, TooFewPoints
+from steelnav.errors import InvalidPoints, SingularCovariance, SteelNavError, TooFewPoints
 from steelnav.segmentation import (
     _covariances,
     _em_restarts,
@@ -390,6 +390,16 @@ class TestSingularFit:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="sum to 1"):
             segmentation._kmeanspp_means(pts, 6, np.random.default_rng([595, 1]))
         self.check(monkeypatch, pts, 6, seed=595, message="component 0 ")
+
+    def test_first_seeding_failure(self):
+        # the same cloud: at seed 23, restart 0's k-means++ weights do not
+        # sum to 1, and the fit raises that, as InvalidPoints with NumPy's text
+        far = np.array([[-0.938e152, -2.346e153], [1.680e153, -1.565e153],
+                        [-3.537e153, -0.985e153]])
+        pts = np.vstack([far, np.random.default_rng(0).normal(0.0, 1.0, (80, 2))])
+        with np.errstate(all="ignore"), pytest.raises(InvalidPoints, match="sum to 1") as got:
+            em_gmm_fit(pts, 6, seed=23)
+        assert isinstance(got.value, SteelNavError)
 
 
 class TestAssignClusters:

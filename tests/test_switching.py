@@ -10,12 +10,12 @@ from steelnav import (
     PointCloud,
     RigidTransform,
     SurfacePose,
-    center_closest,
     height_available,
     ncbe,
     plane_available,
     switch_decision,
 )
+from steelnav.boundary import CenterClosest
 from steelnav.switching import area_check_candidates
 from steelnav.errors import EmptyBoundary
 
@@ -91,12 +91,11 @@ class TestAreaCheck:
         cands = area_check_candidates(b, centroid, Z_NORMAL, PAPER_FOOT)
         accepted = [c for c in cands if c.passed]
         assert accepted
+        inside = CenterClosest([b.points], [b.center], 1, PAPER_FOOT.m_neighbors, "all")
         for cand in accepted:
             interior = np.vstack([cand.corners.mean(axis=0),
                                   cand.corners[2:].mean(axis=0)])
-            for r in interior:
-                assert center_closest(r, b.points, b.center, PAPER_FOOT.m_neighbors,
-                                      "all")[0]
+            assert inside(interior).all()
 
     def test_rigid_invariance(self):
         b, centroid = plane_boundary(1.0, seed=4)
@@ -128,10 +127,25 @@ class TestAreaCheck:
         expected = r_c - (PAPER_FOOT.length / 4.0) * cand.pose.e_y
         np.testing.assert_allclose(cand.pose.position, expected, atol=1e-9)
 
-    def test_empty_boundary(self):
-        b = Boundary(np.zeros((0, 3)), np.zeros(3), 0.05)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_boundary(self, d):
+        b = Boundary(np.zeros((0, d)), np.zeros(d), 0.05)
         with pytest.raises(EmptyBoundary):
-            area_check_candidates(b, np.zeros(3), Z_NORMAL, PAPER_FOOT)
+            area_check_candidates(b, np.zeros(d), Z_NORMAL, PAPER_FOOT)
+
+    def test_one_membership_test_per_call(self, monkeypatch):
+        # the boundary's CenterClosest layout is built once, not per anchor
+        b, centroid = plane_boundary(1.0)
+        init, built = CenterClosest.__init__, []
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CenterClosest, "__init__", counting)
+        cands = area_check_candidates(b, centroid, Z_NORMAL, PAPER_FOOT)
+        assert len(cands) == PAPER_FOOT.n_anchors == 5
+        assert len(built) == 1
 
 
 class TestHeightAvailable:
