@@ -396,7 +396,7 @@ class CenterClosest:
     A point passes when it is inside one of the `n_candidates` boundaries
     whose centers are nearest to it (every boundary, when there are fewer).
 
-    point_sets holds the boundaries, (L_j, d) each; centers is (B, d).
+    point_sets holds the boundaries, (L_j, d) each with L_j >= 1; centers is (B, d).
     They are laid out as d coordinate planes of shape (B, max L_j), NaN on
     padding, so every distance is summed in place, plane by plane, in the
     order of _dist.
@@ -416,6 +416,8 @@ class CenterClosest:
         self.planes = np.full((self.centers.shape[1], len(point_sets),
                                max(map(len, point_sets))), np.nan)
         for j, q in enumerate(point_sets):
+            if len(q) == 0:  # no nearest points: rule "all" would pass every point
+                raise ValueError(f"point set {j} is empty")
             self.planes[:, j, :len(q)] = q.T
         self.center_dist = _plane_norm(self.planes - self.centers.T[:, :, None])
 

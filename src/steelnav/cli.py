@@ -27,10 +27,8 @@ from . import svgplot
 from . import switching as sw
 from . import synth
 from .errors import (
-    DegenerateCloud, DisconnectedEndpoints, NoPlane, ParseError, SteelNavError)
+    DegenerateCloud, DisconnectedEndpoints, InvalidAlpha, NoPlane, ParseError, SteelNavError)
 from .planner import Footprint, PibcChecker, RrtParams, plan_route
-
-SCHEMA_VERSION = cfgmod.SCHEMA_VERSION
 
 
 def _fields(obj) -> dict:
@@ -58,7 +56,7 @@ def dump_json(obj) -> str:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(dump_json({"schema_version": SCHEMA_VERSION, **payload}))
+    path.write_text(dump_json({"schema_version": cfgmod.SCHEMA_VERSION, **payload}))
 
 
 def _preprocess(cloud, cfg):
@@ -78,7 +76,11 @@ def _transform(cfg) -> cl.RigidTransform:
 
 def _alpha_for(points, cfg) -> float:
     alpha = cfg["boundary"]["alpha_s"]
-    return alpha if alpha is not None else bd.default_alpha_s(points)
+    if alpha is None and (alpha := bd.default_alpha_s(points)) == 0:
+        raise InvalidAlpha("boundary.alpha_s is null and the median nearest-neighbor spacing "
+                           "of the points is 0 (more than half repeat another point): "
+                           "set boundary.alpha_s")
+    return alpha
 
 
 # --- switching pipeline ----------------------------------------------------
@@ -105,7 +107,7 @@ def run_switching(input_path, cfg, out_dir: Path) -> sw.SwitchDecision:
         alpha = _alpha_for(plane.inliers.points, cfg)
         bound = bd.ncbe(plane.inliers.points, alpha)
         foot = sw.FootParams(**cfg["foot"])
-        candidates = sw.area_check_candidates(bound, plane.centroid, plane.normal, foot)
+        candidates = sw.area_check_candidates(bound, plane.normal, foot)
         pose = next((c.pose for c in candidates if c.passed), None)
         if pose is not None:
             s_hc = sw.height_available(plane.centroid, _transform(cfg),
@@ -168,7 +170,7 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
     cloud = _preprocess(cl.load_cloud(input_path), cfg)
     cloud = cl.transform_cloud(cloud, _transform(cfg))
     flat = cl.project_to_2d(cloud)
-    xy = flat.xy
+    xy = flat.points[:, :2]
 
     alpha = _alpha_for(xy, cfg)
     eps_border = cfg["boundary"]["eps_border"] or 2.0 * alpha
@@ -229,7 +231,7 @@ def run_navigation(input_path, cfg, out_dir: Path) -> int:
                   "covered_edges": len(g.edges)}
     _write_json(out_dir / "route.json", route_json)
     motion_json = {
-        "paths": [{"edge": p.edge_ref, "configs": [[c.x, c.y, c.theta] for c in p.configs]}
+        "paths": [{"edge": p.edge_ref, "configs": p.configs}
                   for p in result.paths],
         "failures": result.failures,
     }

@@ -62,10 +62,6 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def xy(self) -> np.ndarray:
-        return self.points[:, :2]
-
 
 @dataclass(frozen=True)
 class PlanePatch:

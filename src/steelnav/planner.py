@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +36,15 @@ def _wrap(a: float) -> float:
     return (a + 2.0 * math.pi if a <= 0 else a) - math.pi
 
 
-@dataclass(frozen=True)
-class Config:
-    x: float
-    y: float
-    theta: float
+class Config(namedtuple("Pose", "x y theta")):
+    """A pose (x, y, theta): finite, theta wrapped to (-pi, pi]."""
 
-    def __post_init__(self):
-        if not all(np.isfinite([self.x, self.y, self.theta])):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, theta: float):
+        if not all(np.isfinite([x, y, theta])):
             raise ValueError("configuration must be finite")
-        object.__setattr__(self, "theta", _wrap(self.theta))
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+        return super().__new__(cls, x, y, _wrap(theta))
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ class PibcChecker:
     def check(self, c: Config, fp: Footprint) -> bool:
         key = (c, fp)
         if key not in self._verdicts:
-            pts = segment_footprints(np.array([[c.x, c.y, c.theta]]), fp)[0]
+            pts = segment_footprints(np.array([c]), fp)[0]
             self._verdicts[key] = bool(np.all(self.points_inside(pts)))
         return self._verdicts[key]
 
@@ -143,7 +139,7 @@ def _segment_count(a, b, spacing: float) -> int:
 def _interp_segment(a, b, spacing: float) -> np.ndarray:
     """States from a (exclusive) to b (inclusive) at <= spacing apart, as rows.
 
-    a and b are (x, y, theta) triples; each row is a + t * (b - a) with the
+    a and b are (x, y, theta) poses; each row is a + t * (b - a) with the
     angle difference wrapped, and its angle wrapped again.
     """
     ax, ay, ath = a
@@ -184,16 +180,16 @@ def _samples(seed: int, n: int, goal_bias: float, lo: np.ndarray, hi: np.ndarray
 
 
 def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
-             params: RrtParams, seed: int = 0) -> MotionPath:
+             params: RrtParams, seed: int = 0) -> tuple:
     """RRT in (x, y, theta) over configurations that `checker` accepts.
 
     Extensions are capped at `step` in position and `theta_step` in
     angle; every extension is collision-checked at interpolated configs
     spaced <= step/2.  Success when a tree node falls within `goal_tol`
-    of the goal position.  Deterministic per seed.  The tree is one
-    (x, y, theta) state array plus parent indices.  Raises StartInvalid
-    or GoalInvalid when an endpoint fails the check, NoPathFound after
-    `max_iters` iterations.
+    of the goal position, returning the tuple of Configs from start to it.
+    Deterministic per seed.  The tree is one (x, y, theta) state array plus
+    parent indices.  Raises StartInvalid or GoalInvalid when an endpoint
+    fails the check, NoPathFound after `max_iters` iterations.
 
     A goal sample whose nearest node already failed to extend toward the
     goal is skipped: the extension would be the same segment, and it would
@@ -205,7 +201,7 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
         raise GoalInvalid(f"goal configuration {goal} fails PIBC")
 
     if start == goal:
-        return MotionPath((start,), edge_ref=())
+        return (start,)
 
     margin = max(fp.width, fp.length)
     samples = _samples(seed, params.max_iters, params.goal_bias,
@@ -214,13 +210,13 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
 
     parents = [-1]
     states = np.empty((64, 3))  # doubled whenever the tree fills it
-    states[0] = start.x, start.y, start.theta
+    states[0] = start
     v = np.empty(2)  # each 2-norm is sqrt(v @ v), the sum np.linalg.norm takes
     goal_failed = set()  # nodes whose extension toward the goal failed
 
     for sample in samples:
         to_goal = sample is None
-        sx, sy, sth = (goal.x, goal.y, goal.theta) if to_goal else sample
+        sx, sy, sth = goal if to_goal else sample
 
         tree = states[:len(parents)]
         d_xy = np.hypot(tree[:, 0] - sx, tree[:, 1] - sy)
@@ -257,13 +253,13 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
                 path.append(Config(*states[i]))
                 i = parents[i]
             path.reverse()
-            return MotionPath(tuple(path), edge_ref=())
+            return tuple(path)
 
     raise NoPathFound(f"no path after {params.max_iters} iterations")
 
 
 def _straight_path(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
-                   step: float) -> MotionPath | None:
+                   step: float) -> tuple | None:
     """The straight path from start to goal, or None where the checker blocks it.
 
     The nodes are start, the interior rows of `_interp_segment(start, goal,
@@ -272,15 +268,13 @@ def _straight_path(start: Config, goal: Config, checker: PibcChecker, fp: Footpr
     the test an RRT extension makes.  start is taken as checked:
     `plan_route` passes nudged endpoints.
     """
-    a, b = (start.x, start.y, start.theta), (goal.x, goal.y, goal.theta)
-    nodes = [start, *(Config(*s) for s in _interp_segment(a, b, step)[:-1].tolist())]
+    nodes = [start, *(Config(*s) for s in _interp_segment(start, goal, step)[:-1].tolist())]
     if goal != start:
         nodes.append(goal)
     for p, q in zip(nodes, nodes[1:]):
-        if not (checker.check(q, fp) and _segment_free(
-                (p.x, p.y, p.theta), (q.x, q.y, q.theta), checker, fp, step)):
+        if not (checker.check(q, fp) and _segment_free(p, q, checker, fp, step)):
             return None
-    return MotionPath(tuple(nodes), edge_ref=())
+    return tuple(nodes)
 
 
 def _nudge_valid(pos: np.ndarray, toward: np.ndarray, theta: float,
@@ -345,7 +339,7 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
     for i in range(len(route.walk) - 1):
         u, v = route.walk[i], route.walk[i + 1]
         heading = math.atan2(*(pos[v] - pos[u])[::-1])
-        start_xy = prev_end.xy if prev_end is not None else pos[u]
+        start_xy = prev_end[:2] if prev_end is not None else pos[u]
         start = _nudge_valid(start_xy, pos[v], heading, checker, fp)
         goal = _nudge_valid(pos[v], pos[u], heading, checker, fp)
         if start is None or goal is None:
@@ -354,7 +348,7 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
             prev_end = None
             continue
         # connect first, within the iteration budget (0 plans no motion)
-        n = _segment_count((start.x, start.y), (goal.x, goal.y), params.step)
+        n = _segment_count(start, goal, params.step)
         path = (_straight_path(start, goal, checker, fp, params.step)
                 if n <= params.max_iters else None)
         # a narrow corridor can stall RRT for an unlucky seed; retry with
@@ -371,7 +365,7 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
             failures.append(EdgePlanFailure((u, v), NoPathFound.__name__))
             prev_end = None
             continue
-        paths.append(MotionPath(path.configs, (u, v)))
-        prev_end = path.configs[-1]
+        paths.append(MotionPath(path, (u, v)))
+        prev_end = path[-1]
 
     return RoutePlanResult(paths, failures)

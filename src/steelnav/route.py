@@ -68,13 +68,6 @@ class Multigraph:
 
 
 @dataclass(frozen=True)
-class AugmentedGraph:
-    base: Multigraph
-    duplicated: tuple  # of (u, v, w, base_edge_idx)
-    provenance: str  # "TJoin", "TJoinGreedy" or "BruteForce"
-
-
-@dataclass(frozen=True)
 class RoutePlan:
     walk: tuple  # ordered vertex ids, starts v_s, ends v_t
     edge_visits: tuple  # per base edge, visit count >= 1
@@ -232,8 +225,9 @@ def _check_trail_input(mg: Multigraph, v_s, v_t) -> set:
     return odd_vertices(mg) ^ {v_s} ^ {v_t}
 
 
-def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
-    """Duplicate a minimum T-join so odd degrees sit exactly at {v_s} ^ {v_t}.
+def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> tuple[tuple, str]:
+    """Duplicate a minimum T-join so odd degrees sit exactly at {v_s} ^ {v_t}:
+    (duplicated, provenance), the duplicated (u, v, w, base_edge_idx) edges.
 
     T is odd(G) ^ {v_s} ^ {v_t} (odd(G) alone for a circuit, v_s == v_t).
     Every vertex of T is paired with another by a minimum-weight perfect
@@ -250,23 +244,22 @@ def augment_for_open_trail(mg: Multigraph, v_s, v_t) -> AugmentedGraph:
     duplicated = tuple((*mg.edges[i], i) for a, b in pairs
                        for i in _path_edges(sp[a][1], a, b))
     provenance = "TJoin" if len(t) <= _MATCHING_DP_LIMIT else "TJoinGreedy"
+    return duplicated, provenance
 
-    return AugmentedGraph(mg, duplicated, provenance)
 
-
-def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
-    """Extract the trail over the augmented edge multiset (Hierholzer).
+def euler_trail(mg: Multigraph, duplicated, v_s, v_t, provenance: str) -> RoutePlan:
+    """Extract the trail over mg's edges plus `duplicated` (Hierholzer).
 
     The edges are the base edges then the duplicates, each tagged with its
-    base edge index, and each is used exactly once; the walk starts at v_s
-    and ends at v_t (a circuit when they coincide).  A vertex's degree is
-    the length of its adjacency list.  Odd degrees other than at
-    {v_s} ^ {v_t}, or a walk that misses an edge or ends elsewhere, as on a
-    disconnected edge multiset, raise ParityViolation.
+    base edge index as `augment_for_open_trail` tags them, and each is used
+    exactly once; the walk starts at v_s and ends at v_t (a circuit when
+    they coincide).  A vertex's degree is the length of its adjacency list.
+    Odd degrees other than at {v_s} ^ {v_t}, or a walk that misses an edge
+    or ends elsewhere, as on a disconnected edge multiset, raise
+    ParityViolation.
     """
-    mg = ag.base
     combined = [(u, v, w, i) for i, (u, v, w) in enumerate(mg.edges)]
-    combined.extend(ag.duplicated)
+    combined.extend(duplicated)
     adj = {v: [] for v in mg.vertices}
     for eid, (u, v, _, _) in enumerate(combined):
         adj[u].append((v, eid))
@@ -303,13 +296,13 @@ def euler_trail(ag: AugmentedGraph, v_s, v_t) -> RoutePlan:
     for _, _, _, base_idx in combined:
         visits[base_idx] += 1
     total = float(sum(w for _, _, w, _ in combined))
-    return RoutePlan(tuple(walk), tuple(visits), total, ag.provenance)
+    return RoutePlan(tuple(walk), tuple(visits), total, provenance)
 
 
 def vocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
     """Solve the variant open CPP: augment, then extract the Euler trail."""
-    ag = augment_for_open_trail(mg, v_s, v_t)
-    return euler_trail(ag, v_s, v_t)
+    duplicated, provenance = augment_for_open_trail(mg, v_s, v_t)
+    return euler_trail(mg, duplicated, v_s, v_t, provenance)
 
 
 def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
@@ -336,8 +329,5 @@ def brute_force_ocpp(mg: Multigraph, v_s, v_t) -> RoutePlan:
         if extra < best_extra and odd == t:
             best_mask, best_extra = mask, extra
 
-    duplicated = tuple(
-        (mg.edges[i][0], mg.edges[i][1], mg.edges[i][2], i)
-        for i in range(m) if best_mask & (1 << i)
-    )
-    return euler_trail(AugmentedGraph(mg, duplicated, "BruteForce"), v_s, v_t)
+    duplicated = tuple((*mg.edges[i], i) for i in range(m) if best_mask & (1 << i))
+    return euler_trail(mg, duplicated, v_s, v_t, "BruteForce")

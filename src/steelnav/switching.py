@@ -93,9 +93,10 @@ class CandidateRectangle:
         return self.pose is not None
 
 
-def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
+def area_check_candidates(b: Boundary, normal: np.ndarray,
                           fp: FootParams) -> list[CandidateRectangle]:
-    """Evaluate foot rectangles anchored at the boundary points nearest the centroid.
+    """Evaluate foot rectangles anchored at the boundary points nearest the
+    centroid, `b.center` (the mean of the plane's inliers, in switching).
 
     For each anchor the local frame points e_x away from the centroid and
     e_z along the plane normal.  The w x l rectangle extends from the
@@ -106,7 +107,7 @@ def area_check_candidates(b: Boundary, centroid: np.ndarray, normal: np.ndarray,
     """
     if len(b) == 0:
         raise EmptyBoundary("boundary has no points")
-    centroid = np.asarray(centroid, dtype=float)
+    centroid = b.center
     inside = CenterClosest([b.points], [centroid], 1, fp.m_neighbors, "all", fp.tolerance)
     e_z = _unit(np.asarray(normal, dtype=float))
 

@@ -112,11 +112,11 @@ class TestCriterion3EulerTrails:
             g = Multigraph.build(vertices, edges)
             v_s, v_t = rng.choice(len(vertices), size=2, replace=False)
             v_s, v_t = vertices[v_s], vertices[v_t]
-            ag = augment_for_open_trail(g, v_s, v_t)
-            plan = euler_trail(ag, v_s, v_t)
+            duplicated, provenance = augment_for_open_trail(g, v_s, v_t)
+            plan = euler_trail(g, duplicated, v_s, v_t, provenance)
             check_route_plan(plan, vertices, edges, v_s, v_t)
             # every augmented edge is used exactly once
-            ok &= sum(plan.edge_visits) == len(ag.base.edges) + len(ag.duplicated)
+            ok &= sum(plan.edge_visits) == len(g.edges) + len(duplicated)
         report(3, "100 augmented graphs yield valid Euler trails", ok)
 
 
@@ -254,21 +254,21 @@ class TestCriterion8AreaPose:
         rng = np.random.default_rng(800)
         xy = rng.uniform(-side / 2, side / 2, (n, 2))
         pts = np.column_stack([xy, np.zeros(n)])
-        return ncbe(pts, max(side / 20, 0.01)), pts.mean(axis=0)
+        return ncbe(pts, max(side / 20, 0.01))
 
     def test_pose_and_modes(self):
-        def first_pose(b, centroid):
+        def first_pose(b):
             # the pose of the first passing candidate, as `cli` picks it
             return next((c.pose for c in area_check_candidates(
-                b, centroid, np.array([0.0, 0, 1]), self.FOOT) if c.passed), None)
+                b, np.array([0.0, 0, 1]), self.FOOT) if c.passed), None)
 
-        pose = first_pose(*self.plane(1.0, 8000))
+        pose = first_pose(self.plane(1.0, 8000))
         ok = pose is not None
         if ok:
             r = np.column_stack([pose.e_x, pose.e_y, pose.e_z])
             ok = np.allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-6)
 
-        small_pose = first_pose(*self.plane(0.05, 500))
+        small_pose = first_pose(self.plane(0.05, 500))
         ok &= small_pose is None
 
         # a surface 7 cm below the base with 1 cm tolerance fails the

@@ -802,3 +802,14 @@ class TestCenterClosestOracle:
             CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 0, "all")
         with pytest.raises(ValueError):
             CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 1, "most")
+
+    @pytest.mark.parametrize("sets", [
+        [np.zeros((0, 2))],
+        [np.ones((3, 2)), np.zeros((0, 2))],
+    ], ids=["alone", "beside-a-real-one"])
+    def test_empty_point_set(self, sets):
+        # an empty set has no nearest boundary points: under rule "all",
+        # every point whose candidates include it would pass
+        centers = [np.ones(2), np.full(2, 9.0)][:len(sets)]
+        with pytest.raises(ValueError, match=f"point set {len(sets) - 1} is empty"):
+            CenterClosest(sets, centers, 1, 3, "all")

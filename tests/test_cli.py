@@ -426,6 +426,22 @@ def test_disconnected_structure_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_points_are_one_error_line(tmp_path, capsys):
+    # 50 copies of one point: the median nearest-neighbor spacing, and so
+    # the default alpha_s, is 0
+    cloud = tmp_path / "repeated.csv"
+    cloud.write_text("0.5,0.5,0\n" * 50)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("navigate", "--input", str(cloud), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: boundary.alpha_s is null")
+    assert "nearest-neighbor spacing of the points is 0" in err[0]
+    assert err[0].endswith("set boundary.alpha_s")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", [5e-324, 1e-320])
 def test_subnormal_step_is_one_error_line(step, tmp_path, capsys):
     # positive, but a segment across the scene does not cut into a finite

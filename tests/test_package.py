@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import inspect
 from pathlib import Path
 
 import steelnav
@@ -76,3 +79,39 @@ def test_no_private_imports_across_modules():
              and (node.level > 0 or (node.module or "").startswith("steelnav"))
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _tracer_targets():
+    """bench/tracer.py's TARGETS, parsed: (span name, module, attribute
+    path, the a["..."] keys its info lambda reads)."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    out = []
+    for key, value in zip(table.keys, table.values):
+        module, path, info = value.elts
+        keys = []
+        if isinstance(info, ast.Lambda):
+            arg = info.args.args[0].arg
+            keys = [n.slice.value for n in ast.walk(info.body)
+                    if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                    and n.value.id == arg]
+        out.append((key.value, module.value, path.value, keys))
+    return out
+
+
+def test_every_traced_function_resolves():
+    # a renamed traced function, or a parameter its info lambda reads that
+    # is gone, fails here and not only in a traced bench run
+    targets = _tracer_targets()
+    assert targets
+    problems = []
+    for name, module, path, keys in targets:
+        try:
+            fn = functools.reduce(getattr, path.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError) as exc:
+            problems.append(f"{name}: {exc}")
+            continue
+        params = inspect.signature(fn).parameters
+        problems += [f"{name}: no parameter {k!r}" for k in keys if k not in params]
+    assert problems == []

@@ -59,6 +59,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(float("nan"), 0.0, 0.0)
 
+    # the facts PibcChecker.check's verdict cache keys rely on
+
+    def test_row_of_an_array_is_the_same_pose(self):
+        x, y, t = 0.3, -1.7, 2.5
+        a, b = Config(*np.array([x, y, t])), Config(x, y, t)
+        assert a == b and hash(a) == hash(b)
+
+    def test_equal_after_wrapping(self):
+        assert Config(0, 0, 3 * math.pi) == Config(0, 0, -math.pi)
+
+    @pytest.mark.parametrize("bad", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0),
+                                     (0.0, 0.0, math.inf)])
+    def test_infinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Config(*bad)
+
 
 def states(*configs):
     """The (x, y, theta) rows of configs, as segment_footprints takes them."""
@@ -145,19 +161,19 @@ class TestRrtPlan:
         straight = 0.8
         for seed in range(10):
             path = rrt_plan(start, goal, checker, self.FP, self.PARAMS, seed=seed)
-            xy = np.array([[c.x, c.y] for c in path.configs])
+            xy = np.array([[c.x, c.y] for c in path])
             length = float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
             assert length <= 2 * straight
-            assert np.linalg.norm(xy[-1] - goal.xy) <= self.PARAMS.goal_tol
+            assert np.linalg.norm(xy[-1] - goal[:2]) <= self.PARAMS.goal_tol
             # every waypoint of the returned path is itself valid
-            for c in path.configs:
+            for c in path:
                 assert checker.check(c, self.FP)
 
     def test_start_equals_goal(self):
         b, _ = corridor_boundary()
         c = Config(0, 0, 0)
         path = rrt_plan(c, c, PibcChecker([b], rule="any"), self.FP, self.PARAMS, seed=0)
-        assert path.configs == (c,)
+        assert path == (c,)
 
     def test_invalid_endpoints(self):
         b, _ = corridor_boundary()
@@ -176,7 +192,7 @@ class TestRrtPlan:
                      seed=4)
         c = rrt_plan(start, goal, PibcChecker([b], rule="any"), self.FP, self.PARAMS,
                      seed=4)
-        assert a.configs == c.configs
+        assert a == c
 
     def test_memory_does_not_grow_with_max_iters(self):
         # an easy step ends long before either budget; neither the samples
@@ -189,7 +205,7 @@ class TestRrtPlan:
             params = RrtParams(step=0.02, goal_tol=0.01, max_iters=max_iters)
             tracemalloc.start()
             try:
-                paths.append(rrt_plan(start, goal, checker, self.FP, params, seed=4).configs)
+                paths.append(rrt_plan(start, goal, checker, self.FP, params, seed=4))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -236,7 +252,7 @@ class TestAgainstReference:
             try:
                 path = rrt_plan(Config(*start), Config(*goal), checker, self.FP,
                                 params, seed=seed)
-                got = [(c.x, c.y, c.theta) for c in path.configs]
+                got = [(c.x, c.y, c.theta) for c in path]
             except NoPathFound as exc:
                 got = str(exc)
             try:
@@ -458,7 +474,7 @@ class TestStraightConnect:
         start, goal = Config(-0.35, 0.0, math.pi / 4), Config(0.0, 0.35, math.pi / 4)
         assert planner._straight_path(start, goal, checker, self.FP, self.PARAMS.step) is None
         want = rrt_plan(start, goal, checker, self.FP, self.PARAMS, seed=seed)  # step 0, attempt 0
-        assert result.paths == [MotionPath(want.configs, (0, 1))]
+        assert result.paths == [MotionPath(want, (0, 1))]
 
     def test_zero_budget_plans_no_motion(self):
         b, _ = corridor_boundary()

@@ -19,7 +19,7 @@ from steelnav.errors import (
     TooLarge,
     UnknownVertex,
 )
-from steelnav.route import AugmentedGraph, augment_for_open_trail, odd_vertices
+from steelnav.route import augment_for_open_trail, odd_vertices
 
 from oracles import (
     bellman_ford,
@@ -161,48 +161,47 @@ class TestMinWeightPairing:
         assert metric.reads <= 12_000
 
 
-def augmented_odd(ag):
+def augmented_odd(g, duplicated):
     """The odd-degree vertices of the base edges and duplicates together."""
-    return odd_vertices(Multigraph(ag.base.vertices,
-                                   ag.base.edges + tuple(d[:3] for d in ag.duplicated)))
+    return odd_vertices(Multigraph(g.vertices, g.edges + tuple(d[:3] for d in duplicated)))
 
 
 class TestAugmentation:
     def test_eulerian_case(self):
-        ag = augment_for_open_trail(TRIANGLE, "A", "B")
-        assert ag.provenance == "TJoin"
+        duplicated, provenance = augment_for_open_trail(TRIANGLE, "A", "B")
+        assert provenance == "TJoin"
         # the shortest A-B path (the direct edge) is duplicated
-        assert [d[:3] for d in ag.duplicated] == [("A", "B", 1.0)]
+        assert [d[:3] for d in duplicated] == [("A", "B", 1.0)]
 
     def test_both_odd_no_duplicates(self):
-        ag = augment_for_open_trail(PATH, "A", "C")
-        assert ag.duplicated == ()
+        duplicated, _ = augment_for_open_trail(PATH, "A", "C")
+        assert duplicated == ()
 
     def test_target_odd(self):
         # PATH degrees: A=1 (odd), B=2 (even), C=1 (odd)
-        ag = augment_for_open_trail(PATH, "B", "C")
-        assert augmented_odd(ag) == {"B", "C"}
+        duplicated, _ = augment_for_open_trail(PATH, "B", "C")
+        assert augmented_odd(PATH, duplicated) == {"B", "C"}
         # T = {A, C} xor {B, C} = {A, B}: the A-B path is duplicated
-        assert [d[:3] for d in ag.duplicated] == [("A", "B", 1.0)]
+        assert [d[:3] for d in duplicated] == [("A", "B", 1.0)]
 
     def test_source_odd(self):
         g = Multigraph.build("ABCD", [("A", "B", 1.0), ("B", "C", 1.0),
                                       ("C", "D", 1.0), ("B", "D", 1.0)])
         # degrees: A=1 (odd), B=3 (odd), C=2, D=2; source odd, target even
-        ag = augment_for_open_trail(g, "A", "C")
-        assert augmented_odd(ag) == {"A", "C"}
+        duplicated, _ = augment_for_open_trail(g, "A", "C")
+        assert augmented_odd(g, duplicated) == {"A", "C"}
 
     def test_both_even(self):
         g2 = Multigraph.build("ABCDE", [("A", "B", 1.0), ("B", "C", 1.0),
                                         ("C", "D", 1.0), ("D", "E", 1.0),
                                         ("E", "A", 1.0), ("B", "D", 1.0)])
         # odd set {B, D}; endpoints A, C both even
-        ag2 = augment_for_open_trail(g2, "A", "C")
-        assert augmented_odd(ag2) == {"A", "C"}
+        duplicated, _ = augment_for_open_trail(g2, "A", "C")
+        assert augmented_odd(g2, duplicated) == {"A", "C"}
 
     def test_circuit_with_odd_set(self):
-        ag = augment_for_open_trail(STAR, "O", "O")
-        assert augmented_odd(ag) == set()
+        duplicated, _ = augment_for_open_trail(STAR, "O", "O")
+        assert augmented_odd(STAR, duplicated) == set()
 
     @pytest.mark.parametrize("n_leaves,provenance",
                              [(18, "TJoin"), (20, "TJoinGreedy")])
@@ -212,10 +211,10 @@ class TestAugmentation:
         # stops at 16 of them
         leaves = [f"L{i:02d}" for i in range(n_leaves)]
         g = Multigraph.build(["O"] + leaves, [("O", x, 1.0) for x in leaves])
-        ag = augment_for_open_trail(g, leaves[0], leaves[1])
-        assert ag.provenance == provenance
-        assert augmented_odd(ag) == {leaves[0], leaves[1]}
-        assert len(ag.duplicated) == n_leaves - 2
+        duplicated, got = augment_for_open_trail(g, leaves[0], leaves[1])
+        assert got == provenance
+        assert augmented_odd(g, duplicated) == {leaves[0], leaves[1]}
+        assert len(duplicated) == n_leaves - 2
 
 
 class TestEulerTrail:
@@ -226,10 +225,10 @@ class TestEulerTrail:
             g = Multigraph.build(vertices, edges)
             v_s, v_t = rng.choice(len(vertices), size=2, replace=False)
             v_s, v_t = vertices[v_s], vertices[v_t]
-            ag = augment_for_open_trail(g, v_s, v_t)
-            plan = euler_trail(ag, v_s, v_t)
+            duplicated, provenance = augment_for_open_trail(g, v_s, v_t)
+            plan = euler_trail(g, duplicated, v_s, v_t, provenance)
             check_route_plan(plan, vertices, edges, v_s, v_t)
-            assert sum(plan.edge_visits) == len(ag.base.edges) + len(ag.duplicated)
+            assert sum(plan.edge_visits) == len(g.edges) + len(duplicated)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -245,14 +244,14 @@ class TestEulerTrail:
         g = Multigraph.build("ABCDEF", [("A", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0),
                                         ("D", "E", 1.0), ("E", "F", 1.0), ("F", "D", 1.0)])
         with pytest.raises(ParityViolation):
-            euler_trail(AugmentedGraph(g, (), "TJoin"), "A", "A")
+            euler_trail(g, (), "A", "A", "TJoin")
 
     @pytest.mark.parametrize("v_s,v_t", [("A", "B"), ("B", "B"), ("A", "A")])
     def test_odd_degrees_off_the_endpoints(self, v_s, v_t):
         # PATH's odd degrees are at A and C: no trail from v_s to v_t
         # covers it without augmentation
         with pytest.raises(ParityViolation, match="odd-degree set does not match"):
-            euler_trail(AugmentedGraph(PATH, (), "TJoin"), v_s, v_t)
+            euler_trail(PATH, (), v_s, v_t, "TJoin")
 
 
 class TestVocpp:

@@ -25,9 +25,9 @@ Z_NORMAL = np.array([0.0, 0.0, 1.0])
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 
-def first_pose(b, centroid, normal, fp):
+def first_pose(b, normal, fp):
     """The pose of the first passing candidate, as `cli` picks it; None if none passes."""
-    return next((c.pose for c in area_check_candidates(b, centroid, normal, fp)
+    return next((c.pose for c in area_check_candidates(b, normal, fp)
                  if c.passed), None)
 
 
@@ -37,7 +37,7 @@ def plane_boundary(side, n=8000, seed=0, z=0.0):
     xy = rng.uniform(-side / 2, side / 2, (n, 2))
     pts = np.column_stack([xy, np.full(n, z)])
     alpha = max(side / 20, 0.01)
-    return ncbe(pts, alpha), pts.mean(axis=0)
+    return ncbe(pts, alpha)
 
 
 class TestPlaneAvailable:
@@ -53,15 +53,15 @@ class TestPlaneAvailable:
 
 class TestAreaCheck:
     def test_sufficient_square(self):
-        b, centroid = plane_boundary(1.0)
-        pose = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
+        b = plane_boundary(1.0)
+        pose = first_pose(b, Z_NORMAL, PAPER_FOOT)
         assert pose is not None
         r = np.column_stack([pose.e_x, pose.e_y, pose.e_z])
         np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-6)
 
     def test_insufficient_square(self):
-        b, centroid = plane_boundary(0.05, n=500)
-        pose = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
+        b = plane_boundary(0.05, n=500)
+        pose = first_pose(b, Z_NORMAL, PAPER_FOOT)
         assert pose is None
 
     def test_circle_anchor_frame(self):
@@ -71,7 +71,7 @@ class TestAreaCheck:
         pts = np.column_stack([np.cos(th), np.sin(th), np.zeros_like(th)])
         b = Boundary(pts, np.zeros(3), 0.05)
         fp = FootParams(width=0.2, length=0.3, n_anchors=720, m_neighbors=3)
-        cands = area_check_candidates(b, np.zeros(3), Z_NORMAL, fp)
+        cands = area_check_candidates(b, Z_NORMAL, fp)
         at_1_0 = [c for c in cands
                   if np.allclose(c.anchor, [1, 0, 0], atol=1e-9)]
         assert at_1_0
@@ -87,8 +87,8 @@ class TestAreaCheck:
     def test_accepted_rectangle_interior_passes_pibc_all_rule(self):
         # the anchor edge sits on the boundary, so only strictly interior
         # points of an accepted rectangle must satisfy strict membership
-        b, centroid = plane_boundary(1.0, seed=3)
-        cands = area_check_candidates(b, centroid, Z_NORMAL, PAPER_FOOT)
+        b = plane_boundary(1.0, seed=3)
+        cands = area_check_candidates(b, Z_NORMAL, PAPER_FOOT)
         accepted = [c for c in cands if c.passed]
         assert accepted
         inside = CenterClosest([b.points], [b.center], 1, PAPER_FOOT.m_neighbors, "all")
@@ -98,7 +98,7 @@ class TestAreaCheck:
             assert inside(interior).all()
 
     def test_rigid_invariance(self):
-        b, centroid = plane_boundary(1.0, seed=4)
+        b = plane_boundary(1.0, seed=4)
         theta = 0.6
         rot = np.array([
             [np.cos(theta), -np.sin(theta), 0],
@@ -108,8 +108,8 @@ class TestAreaCheck:
         shift = np.array([2.0, -1.0, 0.5])
         b2 = Boundary(b.points @ rot.T + shift, rot @ b.center + shift,
                       b.alpha_s)
-        pose1 = first_pose(b, centroid, Z_NORMAL, PAPER_FOOT)
-        pose2 = first_pose(b2, rot @ centroid + shift, rot @ Z_NORMAL, PAPER_FOOT)
+        pose1 = first_pose(b, Z_NORMAL, PAPER_FOOT)
+        pose2 = first_pose(b2, rot @ Z_NORMAL, PAPER_FOOT)
         assert (pose1 is None) == (pose2 is None)
         if pose1 is not None:
             np.testing.assert_allclose(rot @ pose1.position + shift,
@@ -118,8 +118,8 @@ class TestAreaCheck:
 
     def test_position_offset(self):
         # position = rectangle centroid - (l/4) e_y, in the local frame
-        b, centroid = plane_boundary(1.0, seed=5)
-        cands = area_check_candidates(b, centroid, Z_NORMAL, PAPER_FOOT)
+        b = plane_boundary(1.0, seed=5)
+        cands = area_check_candidates(b, Z_NORMAL, PAPER_FOOT)
         accepted = [c for c in cands if c.passed]
         assert accepted
         cand = accepted[0]
@@ -131,11 +131,11 @@ class TestAreaCheck:
     def test_empty_boundary(self, d):
         b = Boundary(np.zeros((0, d)), np.zeros(d), 0.05)
         with pytest.raises(EmptyBoundary):
-            area_check_candidates(b, np.zeros(d), Z_NORMAL, PAPER_FOOT)
+            area_check_candidates(b, Z_NORMAL, PAPER_FOOT)
 
     def test_one_membership_test_per_call(self, monkeypatch):
         # the boundary's CenterClosest layout is built once, not per anchor
-        b, centroid = plane_boundary(1.0)
+        b = plane_boundary(1.0)
         init, built = CenterClosest.__init__, []
 
         def counting(self, *args):
@@ -143,7 +143,7 @@ class TestAreaCheck:
             init(self, *args)
 
         monkeypatch.setattr(CenterClosest, "__init__", counting)
-        cands = area_check_candidates(b, centroid, Z_NORMAL, PAPER_FOOT)
+        cands = area_check_candidates(b, Z_NORMAL, PAPER_FOOT)
         assert len(cands) == PAPER_FOOT.n_anchors == 5
         assert len(built) == 1
 
