@@ -396,10 +396,17 @@ class CenterClosest:
     A point passes when it is inside one of the `n_candidates` boundaries
     whose centers are nearest to it (every boundary, when there are fewer).
 
-    point_sets holds the boundaries, (L_j, d) each with L_j >= 1; centers is (B, d).
-    They are laid out as d coordinate planes of shape (B, max L_j), NaN on
-    padding, so every distance is summed in place, plane by plane, in the
-    order of _dist.
+    point_sets holds the boundaries, (L_j, d) each with L_j >= 1; centers is
+    (B, d), one per point set.  They are laid out as d coordinate planes of
+    shape (B, max L_j), NaN on padding, so every distance is summed in place,
+    plane by plane, in the order of _dist.
+
+    A call decides every point against its nearest candidate first, and only
+    the points left outside against the other candidates.  That is exact:
+    each (point, candidate) row is computed on its own, and the tie branch
+    changes no row without a tie at the m-th distance.  So a point's verdict
+    is the same in any batch, and the first pass's temporaries are a third
+    of one pass over all three candidates.
     """
 
     def __init__(self, point_sets: list[np.ndarray], centers: np.ndarray,
@@ -410,14 +417,23 @@ class CenterClosest:
             raise ValueError("m must be >= 1")
         if n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        if len(point_sets) == 0:
+            raise ValueError("no point sets")
         self.centers = np.asarray(centers, dtype=float)
-        self.n_candidates = min(n_candidates, len(point_sets))
-        self.m, self.rule, self.tol = m, rule, tol
-        self.planes = np.full((self.centers.shape[1], len(point_sets),
-                               max(map(len, point_sets))), np.nan)
+        if self.centers.ndim != 2 or len(self.centers) != len(point_sets):
+            raise ValueError(f"centers have shape {self.centers.shape}, not "
+                             f"({len(point_sets)}, d): one center per point set")
+        dim = self.centers.shape[1]
         for j, q in enumerate(point_sets):
+            if np.ndim(q) != 2 or np.shape(q)[1] != dim:
+                raise ValueError(f"point set {j} has shape {np.shape(q)}, "
+                                 f"not (L, {dim}) like the centers")
             if len(q) == 0:  # no nearest points: rule "all" would pass every point
                 raise ValueError(f"point set {j} is empty")
+        self.n_candidates = min(n_candidates, len(point_sets))
+        self.m, self.rule, self.tol = m, rule, tol
+        self.planes = np.full((dim, len(point_sets), max(map(len, point_sets))), np.nan)
+        for j, q in enumerate(point_sets):
             self.planes[:, j, :len(q)] = q.T
         self.center_dist = _plane_norm(self.planes - self.centers.T[:, :, None])
 
@@ -427,10 +443,20 @@ class CenterClosest:
         d_c = _plane_norm(np.subtract(points.T[:, :, None], self.centers.T[:, None, :],
                                       order="C"))
         cand = d_c.argsort(axis=1, kind="stable")[:, :self.n_candidates]
-        q = self.planes.take(cand, axis=1)  # (d, P, candidates, max L)
+        # cand's distances: the sort puts d_c in the stable argsort's order
+        d_r = np.sort(d_c, axis=1)[:, :self.n_candidates]
+        inside = self._inside(points, cand[:, :1], d_r[:, :1])[:, 0]
+        out = np.flatnonzero(~inside)
+        if len(out) and self.n_candidates > 1:
+            inside[out] = self._inside(points[out], cand[out, 1:], d_r[out, 1:]).any(axis=1)
+        return inside
+
+    def _inside(self, points: np.ndarray, cand: np.ndarray, d_r: np.ndarray) -> np.ndarray:
+        """(P, c) verdicts of (P, d) points against their (P, c) candidate
+        boundaries `cand`, at center distances d_r."""
+        q = self.planes.take(cand, axis=1)  # (d, P, c, max L)
         q -= points.T[:, :, None, None]
         d_rq = _plane_norm(q)
-        d_r = d_c[np.arange(len(points))[:, None], cand]
         d_q = self.center_dist.take(cand, axis=0)
         k = min(self.m, d_rq.shape[-1])
         # a full sort beats np.partition on rows this short, and it shows ties
@@ -452,7 +478,7 @@ class CenterClosest:
         if self.tol > 0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 inside |= (d_r > 0) & ((d_r - d_q) / d_r < self.tol)
-        return inside.any(axis=1)
+        return inside
 
 
 def _plane_norm(diff: np.ndarray) -> np.ndarray:

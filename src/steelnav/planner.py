@@ -102,7 +102,7 @@ class PibcChecker:
 
     `check` keeps each verdict per (Config, Footprint): it is a
     deterministic function of the two, and a route step's endpoints are
-    checked again on every RRT attempt.
+    checked by the nudge and again by `rrt_plan`.
     """
 
     def __init__(self, boundaries: list[Boundary], n_candidates: int = 3,
@@ -179,8 +179,22 @@ def _samples(seed: int, n: int, goal_bias: float, lo: np.ndarray, hi: np.ndarray
                    -math.pi + 2.0 * math.pi * next(draws))
 
 
+class _Tree:
+    """One RRT attempt: its sample stream, its tree as an (x, y, theta)
+    state array plus parent indices, and its goal memo."""
+
+    __slots__ = ("samples", "states", "parents", "goal_failed")
+
+    def __init__(self, start: Config, samples):
+        self.samples = samples
+        self.states = np.empty((64, 3))  # doubled whenever the tree fills it
+        self.states[0] = start
+        self.parents = [-1]
+        self.goal_failed = set()  # nodes whose extension toward the goal failed
+
+
 def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
-             params: RrtParams, seed: int = 0) -> tuple:
+             params: RrtParams, seed: int = 0, attempts: int = 1) -> tuple:
     """RRT in (x, y, theta) over configurations that `checker` accepts.
 
     Extensions are capped at `step` in position and `theta_step` in
@@ -189,12 +203,23 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
     of the goal position, returning the tuple of Configs from start to it.
     Deterministic per seed.  The tree is one (x, y, theta) state array plus
     parent indices.  Raises StartInvalid or GoalInvalid when an endpoint
-    fails the check, NoPathFound after `max_iters` iterations.
+    fails the check, NoPathFound when no attempt succeeds in `max_iters`
+    iterations.
+
+    `attempts` independent trees grow in lockstep, attempt a from the samples
+    of seed + 9973 * a.  Each iteration draws one sample per tree and tests
+    every tree's extension in one `points_inside` call; a point's verdict
+    does not depend on the batch it is tested in.  The result is the path of
+    the lowest attempt that succeeds, the one that running the attempts one
+    after another would return: an attempt that succeeds drops every later
+    one, and the earlier ones run on until they succeed or run out.
 
     A goal sample whose nearest node already failed to extend toward the
     goal is skipped: the extension would be the same segment, and it would
     fail again.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be >= 1, got {attempts}")
     if not checker.check(start, fp):
         raise StartInvalid(f"start configuration {start} fails PIBC")
     if not checker.check(goal, fp):
@@ -204,58 +229,74 @@ def rrt_plan(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
         return (start,)
 
     margin = max(fp.width, fp.length)
-    samples = _samples(seed, params.max_iters, params.goal_bias,
-                       checker.bbox_lo - margin, checker.bbox_hi + margin)
+    lo, hi = checker.bbox_lo - margin, checker.bbox_hi + margin
+    trees = [_Tree(start, _samples(seed + 9973 * a, params.max_iters, params.goal_bias, lo, hi))
+             for a in range(attempts)]
     step, theta_step = params.step, params.theta_step
-
-    parents = [-1]
-    states = np.empty((64, 3))  # doubled whenever the tree fills it
-    states[0] = start
+    per_state = len(fp.offsets)
     v = np.empty(2)  # each 2-norm is sqrt(v @ v), the sum np.linalg.norm takes
-    goal_failed = set()  # nodes whose extension toward the goal failed
+    found = None  # the path of the lowest attempt that succeeded so far
 
-    for sample in samples:
-        to_goal = sample is None
-        sx, sy, sth = goal if to_goal else sample
+    for _ in range(params.max_iters):
+        moves = []  # (tree, nearest node, new state, toward the goal) per extension
+        segments = []
+        for tree in trees:
+            sample = next(tree.samples)
+            to_goal = sample is None
+            sx, sy, sth = goal if to_goal else sample
 
-        tree = states[:len(parents)]
-        d_xy = np.hypot(tree[:, 0] - sx, tree[:, 1] - sy)
-        d_th = _angle_dist(tree[:, 2] - sth)
-        ni = int(np.argmin(np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)))
-        if to_goal and ni in goal_failed:
+            states = tree.states[:len(tree.parents)]
+            d_xy = np.hypot(states[:, 0] - sx, states[:, 1] - sy)
+            d_th = _angle_dist(states[:, 2] - sth)
+            ni = int(np.argmin(np.hypot(d_xy, THETA_METRIC_WEIGHT * d_th)))
+            if to_goal and ni in tree.goal_failed:
+                continue
+            nx, ny, nth = tree.states[ni].tolist()
+            dx, dy = sx - nx, sy - ny
+            v[0], v[1] = dx, dy
+            dist = math.sqrt(v @ v)
+            if dist > step:
+                scale = step / dist
+                dx, dy = dx * scale, dy * scale
+            dth = max(-theta_step, min(theta_step, _wrap(sth - nth)))
+            new = (nx + dx, ny + dy, _wrap(nth + dth))
+            moves.append((tree, ni, new, to_goal))
+            segments.append(_interp_segment((nx, ny, nth), new, step / 2.0))
+        if not moves:
             continue
-        nx, ny, nth = states[ni].tolist()
-        dx, dy = sx - nx, sy - ny
-        v[0], v[1] = dx, dy
-        dist = math.sqrt(v @ v)
-        if dist > step:
-            scale = step / dist
-            dx, dy = dx * scale, dy * scale
-        dth = max(-theta_step, min(theta_step, _wrap(sth - nth)))
-        new = (nx + dx, ny + dy, _wrap(nth + dth))
 
-        if not _segment_free((nx, ny, nth), new, checker, fp, step):
-            if to_goal:
-                goal_failed.add(ni)
-            continue
+        # one call for every tree's extension, then each extension's verdict
+        rows = np.concatenate(segments)
+        inside = checker.points_inside(segment_footprints(rows, fp).reshape(-1, 2))
+        firsts = np.cumsum([0] + [len(seg) * per_state for seg in segments[:-1]])
+        for (tree, ni, new, to_goal), free in zip(moves, np.logical_and.reduceat(inside, firsts)):
+            if not free:
+                if to_goal:
+                    tree.goal_failed.add(ni)
+                continue
+            parents, i = tree.parents, len(tree.parents)
+            if i == len(tree.states):
+                tree.states = np.concatenate([tree.states, np.empty_like(tree.states)])
+            tree.states[i] = new
+            parents.append(ni)
 
-        if len(parents) == len(states):
-            states = np.concatenate([states, np.empty_like(states)])
-        states[len(parents)] = new
-        parents.append(ni)
+            v[0], v[1] = new[0] - goal.x, new[1] - goal.y
+            if math.sqrt(v @ v) <= params.goal_tol:
+                path = []
+                while i >= 0:
+                    # wrapping an already wrapped theta returns it unchanged
+                    path.append(Config(*tree.states[i]))
+                    i = parents[i]
+                found = tuple(reversed(path))
+                del trees[trees.index(tree):]  # no later attempt can win now
+                break
+        if not trees:
+            break
 
-        v[0], v[1] = new[0] - goal.x, new[1] - goal.y
-        if math.sqrt(v @ v) <= params.goal_tol:
-            path = []
-            i = len(parents) - 1
-            while i >= 0:
-                # wrapping an already wrapped theta returns it unchanged
-                path.append(Config(*states[i]))
-                i = parents[i]
-            path.reverse()
-            return tuple(path)
-
-    raise NoPathFound(f"no path after {params.max_iters} iterations")
+    if found is None:
+        raise NoPathFound(f"no path after {params.max_iters} iterations"
+                          + (f" in each of {attempts} attempts" if attempts > 1 else ""))
+    return found
 
 
 def _straight_path(start: Config, goal: Config, checker: PibcChecker, fp: Footprint,
@@ -319,10 +360,13 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
     `checker` is the run's one PIBC checker, used for the endpoints, the
     straight path tried first and every `rrt_plan` call.  The straight path
     is tried only when it has at most `max_iters` segments: RRT adds at most
-    one node per iteration, so no attempt could build a longer path.  RRT
-    runs where the straight path is blocked or not tried.  Edges whose
-    planning fails are reported and skipped; the remaining edges are still
-    planned so the failure set plus the success set always covers the route.
+    one node per iteration, so no attempt could build a longer path.  Where
+    the straight path is blocked or not tried, step i makes one `rrt_plan`
+    call of three lockstep attempts, attempt a from seed + i + 9973 * a,
+    which returns the path of the lowest attempt that succeeds.  Edges
+    whose planning fails are reported and skipped; the remaining edges are
+    still planned so the failure set plus the success set always covers the
+    route.
     Raises InvalidStep when a segment across the boundaries' box does not cut
     into a finite number of `step / 2` pieces.
     Raises InvalidFootprint when a nudge cannot advance (_nudge_valid).
@@ -351,14 +395,11 @@ def plan_route(route: RoutePlan, g, checker: PibcChecker, fp: Footprint,
         n = _segment_count(start, goal, params.step)
         path = (_straight_path(start, goal, checker, fp, params.step)
                 if n <= params.max_iters else None)
-        # a narrow corridor can stall RRT for an unlucky seed; retry with
-        # derived seeds before reporting the edge as failed (deterministic)
-        for attempt in range(3):
-            if path is not None:
-                break
+        # a narrow corridor can stall RRT for an unlucky seed: three
+        # attempts with derived seeds before the edge is reported as failed
+        if path is None:
             try:
-                path = rrt_plan(start, goal, checker, fp, params,
-                                seed=seed + i + 9973 * attempt)
+                path = rrt_plan(start, goal, checker, fp, params, seed=seed + i, attempts=3)
             except NoPathFound:
                 pass
         if path is None:

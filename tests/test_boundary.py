@@ -751,6 +751,35 @@ def center_closest_cases():
             (rng.uniform(0, 1, (40, 3)), np.full(3, 0.5), rng.uniform(-0.2, 1.2, (80, 3)))]
 
 
+def padded_boundaries(rng):
+    """Five boundaries of different lengths, one with 4 points, one a
+    lattice with repeated points, whose distances tie exactly."""
+    bs = [Boundary(rng.uniform(x0, x0 + 1, (n, 2)), [x0 + 0.5, 0.5], 0.1)
+          for x0, n in ((0.0, 30), (0.8, 4), (1.6, 55), (2.4, 12))]
+    bs.append(Boundary(shuffled_lattice(rng, np.arange(3.2, 4.3, 0.25),
+                                        np.arange(0.0, 1.1, 0.25)), [3.7, 0.5], 0.1))
+    return bs
+
+
+def padded_probes(rng, bs):
+    """Random points, every boundary point and midpoints of boundary point pairs."""
+    pts = [b.points for b in bs]
+    pairs = [p[rng.integers(0, len(p), (2, 40))] for p in pts]
+    return np.vstack([rng.uniform([-0.2, -0.2], [4.4, 1.2], (300, 2)),
+                      *pts, *[(a + b) / 2 for a, b in pairs]])
+
+
+def padded_oracle(bs, probes, n_candidates, m, rule, tol=0.0):
+    """Each probe's verdict: inside one of its n_candidates nearest boundaries."""
+    centers = np.array([b.center for b in bs])
+    want = []
+    for p in probes:
+        near = np.argsort(np.linalg.norm(centers - p, axis=1), kind="stable")
+        want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, m, rule, tol)
+                        for j in near[:n_candidates]))
+    return want
+
+
 class TestCenterClosestOracle:
     @pytest.mark.parametrize("rule", ["all", "any"])
     @pytest.mark.parametrize("tol", [0.0, 0.05])
@@ -778,30 +807,68 @@ class TestCenterClosestOracle:
         # order of tied points decides some verdicts; 7 candidates are more
         # than the 5 boundaries, so all of them are taken
         rng = np.random.default_rng(13)
-        bs = [Boundary(rng.uniform(x0, x0 + 1, (n, 2)), [x0 + 0.5, 0.5], 0.1)
-              for x0, n in ((0.0, 30), (0.8, 4), (1.6, 55), (2.4, 12))]
-        # a lattice boundary with repeated points: distances tie exactly
-        bs.append(Boundary(shuffled_lattice(rng, np.arange(3.2, 4.3, 0.25),
-                                            np.arange(0.0, 1.1, 0.25)), [3.7, 0.5], 0.1))
+        bs = padded_boundaries(rng)
         checker = PibcChecker(bs, n_candidates=n_candidates, m=m, rule=rule)
-        pts = [b.points for b in bs]
-        pairs = [p[rng.integers(0, len(p), (2, 40))] for p in pts]
-        probes = np.vstack([rng.uniform([-0.2, -0.2], [4.4, 1.2], (300, 2)),
-                            *pts,  # probes at boundary points
-                            *[(a + b) / 2 for a, b in pairs]])  # and at pair midpoints
+        probes = padded_probes(rng, bs)
+        assert checker.points_inside(probes).tolist() == \
+            padded_oracle(bs, probes, n_candidates, m, rule)
+
+    @pytest.mark.parametrize("rule", ["all", "any"])
+    @pytest.mark.parametrize("tol", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("n_candidates", [1, 3])
+    def test_batch_independence(self, rule, tol, m, n_candidates):
+        # a point's verdict is the same alone, in any batch and in the whole
+        # call: the planner tests several RRT attempts' extensions in one
+        # call and splits the verdicts back.  The batches mix rows tied at
+        # the m-th distance with rows that have no tie, and the 4-point set
+        # has fewer than m = 6 points
+        rng = np.random.default_rng(14)
+        bs = padded_boundaries(rng)
+        kernel = CenterClosest([b.points for b in bs], np.array([b.center for b in bs]),
+                               n_candidates, m, rule, tol)
+        probes = padded_probes(rng, bs)
+        whole = kernel(probes)
+        cuts = np.sort(rng.choice(np.arange(1, len(probes)), 60, replace=False))
+        assert np.array_equal(np.concatenate([kernel(b) for b in np.split(probes, cuts)]),
+                              whole)
+        assert [bool(kernel(p[None])[0]) for p in probes] == whole.tolist()
+        assert whole.tolist() == padded_oracle(bs, probes, n_candidates, m, rule, tol)
+
         centers = np.array([b.center for b in bs])
-        want = []
-        for p in probes:
-            near = np.argsort(np.linalg.norm(centers - p, axis=1), kind="stable")
-            want.append(any(oracles.center_closest(p, bs[j].points, bs[j].center, m, rule)
-                            for j in near[:n_candidates]))
-        assert checker.points_inside(probes).tolist() == want
+        near = [np.argsort(np.linalg.norm(centers - p, axis=1), kind="stable")[:n_candidates]
+                for p in probes]
+
+        def tied(p, j):
+            d = np.sort(np.linalg.norm(bs[j].points - p, axis=1))
+            return len(d) > m and d[m - 1] == d[m]
+
+        ties = [any(tied(p, j) for j in js) for p, js in zip(probes, near)]
+        assert any(ties) and not all(ties)
+        if n_candidates > 1:
+            # the nearest candidate rejects some points a farther one accepts
+            first = padded_oracle(bs, probes, 1, m, rule, tol)
+            assert any(w and not f for w, f in zip(whole.tolist(), first))
 
     def test_errors(self):
         with pytest.raises(ValueError):
             CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 0, "all")
         with pytest.raises(ValueError):
             CenterClosest([np.ones((3, 2))], [np.zeros(2)], 1, 1, "most")
+
+    @pytest.mark.parametrize("sets, centers, match", [
+        ([], np.zeros((0, 2)), "no point sets"),
+        ([np.ones((3, 2))], np.zeros((2, 2)), r"centers have shape \(2, 2\), not \(1, d\)"),
+        ([np.ones((3, 2)), np.ones((4, 2))], np.zeros(2),
+         r"centers have shape \(2,\), not \(2, d\)"),
+        ([np.ones((3, 3))], np.zeros((1, 2)), r"point set 0 has shape \(3, 3\), not \(L, 2\)"),
+        ([np.ones((3, 2)), np.ones(3)], np.zeros((2, 2)),
+         r"point set 1 has shape \(3,\), not \(L, 2\)"),
+    ], ids=["no-sets", "two-centers-one-set", "flat-centers", "3d-set-2d-centers",
+            "flat-set"])
+    def test_shapes_checked(self, sets, centers, match):
+        with pytest.raises(ValueError, match=match):
+            CenterClosest(sets, centers, 1, 3, "all")
 
     @pytest.mark.parametrize("sets", [
         [np.zeros((0, 2))],

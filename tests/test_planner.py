@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -234,36 +235,73 @@ class TestAgainstReference:
         return np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
                                 rng.uniform(-4.0, 4.0, n)])
 
-    def test_rrt_matches_reference_on_twenty_seeds(self):
-        # the nav-sparse scene and planner settings: a sparse noisy cross,
-        # footprint 0.04 x 0.05, step 0.02, max_iters 300; the turn from
-        # the left arm into the top arm fails for some seeds
+    # the nav-sparse scene and planner settings: a sparse noisy cross,
+    # footprint 0.04 x 0.05, step 0.02, max_iters 300; the turn from the
+    # left arm into the top arm fails for some seeds
+    PARAMS = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
+    START, GOAL = (-0.2, 0.0, 0.0), (0.0, 0.1, math.pi / 2)
+
+    @staticmethod
+    @functools.cache
+    def checker():
         cloud, truth = generate(StructureSpec(Shape.CROSS, density=2000,
                                               noise_sigma=0.004, seed=1))
         xy = cloud.points[:, :2]
         alpha = default_alpha_s(xy)
         boundaries = [ncbe(xy[truth.labels == i], alpha)
                       for i in range(len(truth.rects))]
-        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
-        checker = PibcChecker(boundaries, n_candidates=3, m=5, rule="any")
-        start, goal = (-0.2, 0.0, 0.0), (0.0, 0.1, math.pi / 2)
+        return PibcChecker(boundaries, n_candidates=3, m=5, rule="any")
+
+    def reference(self, seed):
+        """The reference planner's path as a list of (x, y, theta) triples,
+        or its NoPathFound message."""
+        try:
+            ref = oracles.rrt_plan(oracles.Pose(*self.START), oracles.Pose(*self.GOAL),
+                                   self.FP, self.PARAMS, seed, self.checker())
+        except NoPathFound as exc:
+            return str(exc)
+        return [(c.x, c.y, c.theta) for c in ref]
+
+    def test_rrt_matches_reference_on_twenty_seeds(self):
         outcomes = []
         for seed in range(20):
             try:
-                path = rrt_plan(Config(*start), Config(*goal), checker, self.FP,
-                                params, seed=seed)
+                path = rrt_plan(Config(*self.START), Config(*self.GOAL), self.checker(),
+                                self.FP, self.PARAMS, seed=seed)
                 got = [(c.x, c.y, c.theta) for c in path]
             except NoPathFound as exc:
                 got = str(exc)
-            try:
-                ref = oracles.rrt_plan(oracles.Pose(*start), oracles.Pose(*goal),
-                                       self.FP, params, seed, checker)
-                want = [(c.x, c.y, c.theta) for c in ref]
-            except NoPathFound as exc:
-                want = str(exc)
-            assert got == want, f"seed {seed}"
+            assert got == self.reference(seed), f"seed {seed}"
             outcomes.append(isinstance(got, list))
         assert 0 < sum(outcomes) < len(outcomes)  # both branches ran
+
+    @pytest.mark.parametrize("seed, outcomes", [
+        (27, "fail fail fail"),
+        (15, "fail fail path"),
+        (0, "fail path fail"),
+        # attempts 2 and 1 reach the goal first (iterations 121 and 125),
+        # and attempt 0's later path (iteration 146) replaces theirs
+        (2, "path path path"),
+        (5, "path path fail"),
+    ])
+    def test_lockstep_attempts_match_the_sequential_loop(self, seed, outcomes):
+        # three attempts in lockstep return the first success of the
+        # attempts run one after another, attempt a from seed + 9973 * a
+        refs = [self.reference(seed + 9973 * a) for a in range(3)]
+        assert " ".join("path" if isinstance(r, list) else "fail" for r in refs) == outcomes
+        try:
+            path = rrt_plan(Config(*self.START), Config(*self.GOAL), self.checker(),
+                            self.FP, self.PARAMS, seed=seed, attempts=3)
+            got = [(c.x, c.y, c.theta) for c in path]
+        except NoPathFound as exc:
+            got = str(exc)
+        assert got == next((r for r in refs if isinstance(r, list)),
+                           "no path after 300 iterations in each of 3 attempts")
+
+    def test_attempts_must_be_positive(self):
+        start = Config(*self.START)
+        with pytest.raises(ValueError, match="attempts must be >= 1, got 0"):
+            rrt_plan(start, start, self.checker(), self.FP, self.PARAMS, attempts=0)
 
     def test_footprints_bit_equal_on_random_poses(self):
         raw = self.random_poses(np.random.default_rng(7), 2000)
@@ -475,6 +513,30 @@ class TestStraightConnect:
         assert planner._straight_path(start, goal, checker, self.FP, self.PARAMS.step) is None
         want = rrt_plan(start, goal, checker, self.FP, self.PARAMS, seed=seed)  # step 0, attempt 0
         assert result.paths == [MotionPath(want, (0, 1))]
+
+    def test_one_rrt_call_per_blocked_step(self, monkeypatch):
+        # an L of two bars and a bar apart from both: the corner step is
+        # planned by RRT, the step to the far bar fails every attempt; each
+        # is one rrt_plan call that runs all three attempts
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["seed"], kwargs["attempts"]))
+            return rrt_plan(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "rrt_plan", counting)
+        rng = np.random.default_rng(2)
+        bars = [rng.uniform([-0.5, -0.07], [0.07, 0.07], (2000, 2)),
+                rng.uniform([-0.07, -0.07], [0.07, 0.5], (2000, 2)),
+                rng.uniform([2.0, -0.07], [3.0, 0.07], (2000, 2))]
+        checker = PibcChecker([ncbe(a, 0.02) for a in bars], rule="any")
+        g = structure_graph([[-0.35, 0.0], [0.0, 0.35], [2.5, 0.0]],
+                            [(0, 1, 0.7), (1, 2, 2.6)])
+        params = RrtParams(step=0.02, goal_tol=0.01, max_iters=300)
+        result = plan_route(vocpp(g, 0, 2), g, checker, self.FP, params, seed=5)
+        assert calls == [(5, 3), (6, 3)]
+        assert [p.edge_ref for p in result.paths] == [(0, 1)]
+        assert [(f.edge, f.reason) for f in result.failures] == [((1, 2), "NoPathFound")]
 
     def test_zero_budget_plans_no_motion(self):
         b, _ = corridor_boundary()
