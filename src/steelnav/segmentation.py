@@ -115,6 +115,13 @@ def _log_gaussians(dx, dy, a, b, c, out=None, tmp=None):
     return out
 
 
+def _log_joint(dx, dy, weights, a, b, c, out=None, tmp=None):
+    """(k, N) log p(x, z = j), log weight plus log-density: the one E-step density."""
+    out = _log_gaussians(dx, dy, a, b, c, out, tmp)
+    out += np.log(weights)[:, None]
+    return out
+
+
 def _logsumexp_components(log_prob, buf, top):
     """Per point, log(sum(exp(.))) over the components: the k axis of (k, N)
     `log_prob`, or of (R, k, N) with one (k, N) block per restart.
@@ -162,6 +169,25 @@ def _m_step(points, xy, resp, k, floor, dx, dy, tmp):
     return nk / n, means, a, b, c
 
 
+def _em_step(points, xy, params, k, floor, bufs):
+    """The EM map F(θ) of the live restarts, and each one's log-likelihood
+    at θ.  `params` holds the stacked (weights, means, a, b, c), k rows per
+    restart; `bufs` holds (R·k, N) arrays dx, dy, log_prob, tmp and top.  dx
+    and dy hold θ's offsets (`_offsets`) on entry and F(θ)'s on return, and
+    log_prob turns into the responsibilities in place.  A covariance that
+    is not SPD raises before any buffer is written.
+    """
+    weights, _, a, b, c = params
+    dx, dy, log_prob, tmp, top = bufs
+    _log_joint(dx, dy, weights, a, b, c, log_prob, tmp)
+    blocks = log_prob.reshape(-1, k, len(points))
+    log_norm = _logsumexp_components(blocks, tmp.reshape(blocks.shape),
+                                     top.reshape(blocks.shape))
+    blocks -= log_norm[:, None, :]
+    params = _m_step(points, xy, np.exp(log_prob, out=log_prob), k, floor, dx, dy, tmp)
+    return params, log_norm.sum(axis=1)
+
+
 def _stops(history, max_iter, rel_tol):
     """Whether a fit with this log-likelihood history stops: at `max_iter`
     iterations, or when the last step gained less than `rel_tol` of the
@@ -178,82 +204,57 @@ def _em_restarts(points, k, seed, max_iter, rel_tol, restarts, floor):
     """The fit of every restart r, in restart order, each from its own
     k-means++ seeds drawn from `default_rng([seed, r])`.
 
-    The restarts run in lockstep: the live restarts' components are the
-    rows of (R·k, N) buffers, so each EM step makes every elementwise pass
-    once for all of them.  Each restart keeps its own log-likelihood
-    history and stopping test, and one that stops is compacted out.  Every
-    float rounds as in a fit of that restart alone.  A restart fails on a
-    covariance that is not SPD (SingularCovariance) or in its seeding; the
-    fit raises the failure of the lowest-index restart that fails, as a
-    loop over the restarts that stops at the first failure would.
+    The driver of the lockstep fit, whose one EM step is `_em_step`: the
+    live restarts' components are the rows of (R·k, N) buffers, and every
+    float rounds as in a fit of that restart alone.  Each restart keeps its
+    own log-likelihood history and stopping test, and one that stops is
+    compacted out.  A failure in a restart's seeding or a SingularCovariance
+    drops it and every later restart; once the earlier ones finish, the fit
+    raises it, as a loop over the restarts that stops at the first failure.
     """
-    n = len(points)
     xy = np.ascontiguousarray(points.T)
     seeds, failure = [], None
     for r in range(restarts):
         try:
             seeds.append(_kmeanspp_means(points, k, np.random.default_rng([seed, r])))
         except InvalidPoints as e:
-            if r == 0:
-                raise
-            # restart r fails before its first step: only the earlier ones run
-            failure = e
+            failure = e  # restart r fails before its first step
             break
-    means = np.concatenate(seeds)
+    means = np.reshape(seeds, (-1, 2))
     rows = len(means)
-    weights = np.full(rows, 1.0 / k)
     iso = max(float(np.var(points, axis=0).mean()), floor)
-    a, b, c = np.full(rows, iso), np.zeros(rows), np.full(rows, iso)
-    # (R·k, N) buffers for all the restarts, of which the live ones use the
-    # first rows.  The M-step leaves the new means' offsets in dx, dy for
-    # the next E-step; log_prob turns into the responsibilities in place.
-    dx_buf, dy_buf = _offsets(xy, means)
-    log_prob_buf, tmp_buf = np.empty_like(dx_buf), np.empty_like(dx_buf)
-    top_buf = np.empty(dx_buf.shape, dtype=bool)
+    params = (np.full(rows, 1.0 / k), means, np.full(rows, iso), np.zeros(rows),
+              np.full(rows, iso))
+    # (R·k, N) buffers, of which the live restarts use the first rows; the
+    # first two hold the live means' offsets, and a compaction replaces them
+    dx, dy = _offsets(xy, means)
+    all_bufs = (dx, dy, np.empty_like(dx), np.empty_like(dx), np.empty_like(dx, bool))
 
     live = list(range(len(seeds)))
     history = [[] for _ in live]
-    fits = [None] * restarts
+    fits = [None] * len(seeds)  # each restart's θ when it leaves the lockstep
     while live:
-        rows = len(live) * k
-        dx, dy, log_prob, tmp, top = (
-            buf[:rows] for buf in (dx_buf, dy_buf, log_prob_buf, tmp_buf, top_buf))
+        bufs = tuple(buf[:len(live) * k] for buf in all_bufs)
         try:
-            _log_gaussians(dx, dy, a, b, c, log_prob, tmp)
+            params, lls = _em_step(points, xy, params, k, floor, bufs)
         except SingularCovariance as e:
-            if e.component < k:  # the lowest live restart: no earlier one can fail
-                raise
-            # the restarts after this one no longer matter; the earlier ones go on
             failure = SingularCovariance(e.component % k)
-            del live[e.component // k:]
-            rows = len(live) * k
-            a, b, c, weights, means = (v[:rows] for v in (a, b, c, weights, means))
-            continue
-        log_prob += np.log(weights)[:, None]
-        blocks = log_prob.reshape(len(live), k, n)
-        log_norm = _logsumexp_components(blocks, tmp.reshape(blocks.shape),
-                                         top.reshape(blocks.shape))
-        for r, restart_norm in zip(live, log_norm):
-            history[r].append(float(restart_norm.sum()))
-        blocks -= log_norm[:, None, :]
-        weights, means, a, b, c = _m_step(
-            points, xy, np.exp(log_prob, out=log_prob), k, floor, dx, dy, tmp)
-
-        stop = [_stops(history[r], max_iter, rel_tol) for r in live]
-        if any(stop):
-            for i in np.flatnonzero(stop):
-                r, own = live[i], slice(i * k, (i + 1) * k)
-                fits[r] = GmmModel(weights[own], means[own],
-                                   _covariances(a[own], b[own], c[own]),
-                                   history[r][-1], tuple(history[r]))
-            keep = np.repeat(np.logical_not(stop), k)
-            live = [r for r, done in zip(live, stop) if not done]
-            rows = len(live) * k
-            dx_buf[:rows], dy_buf[:rows] = dx[keep], dy[keep]
-            a, b, c, weights, means = (v[keep] for v in (a, b, c, weights, means))
+            drop = [i >= e.component // k for i in range(len(live))]  # and later ones
+        else:
+            for r, ll in zip(live, lls):
+                history[r].append(float(ll))
+            drop = [_stops(history[r], max_iter, rel_tol) for r in live]
+        if any(drop):
+            for i in np.flatnonzero(drop):
+                fits[live[i]] = tuple(v[i * k:(i + 1) * k] for v in params)
+            keep = np.repeat(np.logical_not(drop), k)
+            live = [r for r, done in zip(live, drop) if not done]
+            all_bufs = (bufs[0][keep], bufs[1][keep], *all_bufs[2:])
+            params = tuple(v[keep] for v in params)
     if failure is not None:
         raise failure
-    return fits
+    return [GmmModel(weights, means, _covariances(a, b, c), h[-1], tuple(h))
+            for (weights, means, a, b, c), h in zip(fits, history)]
 
 
 def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
@@ -262,9 +263,9 @@ def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
 
     Deterministic given `seed`; the best of `restarts` runs by final
     log-likelihood is returned, the first on a tie.  The restarts run in
-    lockstep (`_em_restarts`), each as it would alone.  Covariances carry a
-    diagonal floor derived from the data scale, which keeps thin-bar fits
-    from collapsing.
+    lockstep (`_em_restarts`, stepping by the EM map `_em_step`), each as it
+    would alone; the lowest-index restart that fails raises its failure.
+    A diagonal floor from the data scale keeps thin-bar covariances from collapsing.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -277,8 +278,7 @@ def em_gmm_fit(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 200,
         raise TooFewPoints(f"need at least k={k} points, got {len(points)}")
 
     sample_cov = np.cov(points.T) if len(points) > 1 else np.zeros((2, 2))
-    floor = max(_COV_FLOOR_SCALE * float(np.trace(np.atleast_2d(sample_cov))) / 2.0,
-                1e-12)
+    floor = max(_COV_FLOOR_SCALE * float(np.trace(sample_cov)) / 2.0, 1e-12)
     fits = _em_restarts(points, k, seed, max_iter, rel_tol, restarts, floor)
     return max(fits, key=lambda model: model.log_likelihood)
 
@@ -287,10 +287,10 @@ def assign_clusters(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """Hard labels by maximum posterior; ties break to the lowest index."""
     points = np.asarray(points, dtype=float)
     cov = model.covariances
-    log_prob = _log_gaussians(*_offsets(points.T, model.means),
-                              cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
-    log_prob += np.log(np.maximum(model.weights, 1e-300))[:, None]
-    return np.argmax(log_prob, axis=0)
+    log_joint = _log_joint(*_offsets(points.T, model.means),
+                           np.maximum(model.weights, 1e-300),
+                           cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
+    return np.argmax(log_joint, axis=0)
 
 
 def _cluster_boundaries(points, labels, n_c, alpha_s):

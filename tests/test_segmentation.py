@@ -11,6 +11,7 @@ from steelnav.errors import InvalidPoints, SingularCovariance, SteelNavError, To
 from steelnav.segmentation import (
     _covariances,
     _em_restarts,
+    _em_step,
     _log_gaussians,
     _logsumexp_components,
     _m_step,
@@ -23,6 +24,14 @@ from steelnav.segmentation import (
 
 import oracles
 from oracles import adjusted_rand_index
+
+
+def bench_cloud(density):
+    """The cross scene of the navigate benchmark workloads at bench seed 1,
+    whose offset moves the seed-1 scene; segment_structure seeds count n_c
+    with 1009 * seed + n_c."""
+    spec = StructureSpec(Shape.CROSS, density=density, noise_sigma=0.004, seed=1)
+    return generate(spec)[0].points[:, :2] + np.random.default_rng(1).uniform(-1.0, 1.0, 2)
 
 
 def two_blobs(n=400, seed=0):
@@ -325,11 +334,9 @@ class TestEmBitExact:
     @pytest.mark.parametrize("density, n_cmax", [(4000, 6), (2000, 5)])
     def test_navigate_bench_scenes(self, monkeypatch, density, n_cmax):
         # the cross scenes and cluster counts of the navigate benchmark
-        # workloads at bench seed 1, whose offset moves the seed-1 scene;
-        # segment_structure seeds count n_c with 1009 * seed + n_c.  k = 2,
-        # 3, 5 and 6 are the counts whose stacked product would round otherwise
-        spec = StructureSpec(Shape.CROSS, density=density, noise_sigma=0.004, seed=1)
-        pts = generate(spec)[0].points[:, :2] + np.random.default_rng(1).uniform(-1.0, 1.0, 2)
+        # workloads.  k = 2, 3, 5 and 6 are the counts whose stacked product
+        # would round otherwise
+        pts = bench_cloud(density)
         iterations = [self.check(monkeypatch, pts, [n_c], 1009 + n_c)[0]
                       for n_c in range(2, n_cmax + 1)]
         if density == 4000:
@@ -345,6 +352,41 @@ class TestEmBitExact:
         # every component has the same density at every point
         pts = np.full((40, 2), 0.3)
         assert len(self.check(monkeypatch, pts, [2, 3], 5)) == 2
+
+
+class TestEmStep:
+    """`_em_step` is the EM map of θ alone: one step from the θ of a fit
+    stopped at t iterations, on fresh buffers, is the fit stopped at t + 1."""
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("t", [1, 5])
+    def test_one_step_continues_the_fit(self, monkeypatch, t, k, restarts):
+        calls = recorded(monkeypatch, _em_restarts)
+        pts = bench_cloud(2000)
+        for max_iter in (t, t + 1):
+            # rel_tol 0: every restart runs to max_iter
+            em_gmm_fit(pts, k, seed=1009 + k, max_iter=max_iter, rel_tol=0.0,
+                       restarts=restarts)
+        (points, *_, floor), fits = calls[0]
+        want = calls[1][1]
+        assert [len(f.ll_history) for f in fits] == [t] * restarts
+        assert [len(f.ll_history) for f in want] == [t + 1] * restarts
+        weights, means, cov = (np.concatenate([getattr(f, name) for f in fits])
+                               for name in ("weights", "means", "covariances"))
+        params = (weights, means, cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
+        xy = np.ascontiguousarray(points.T)
+        dx, dy = _offsets(xy, means)
+        bufs = (dx, dy, np.empty_like(dx), np.empty_like(dx), np.empty_like(dx, bool))
+        (weights, means, a, b, c), lls = _em_step(points, xy, params, k, floor, bufs)
+        assert len(lls) == restarts
+        for r, fit in enumerate(want):
+            own = slice(r * k, (r + 1) * k)
+            assert lls[r] == fit.ll_history[t]
+            np.testing.assert_array_equal(weights[own], fit.weights)
+            np.testing.assert_array_equal(means[own], fit.means)
+            np.testing.assert_array_equal(_covariances(a[own], b[own], c[own]),
+                                          fit.covariances)
 
 
 class TestSingularFit:
@@ -370,6 +412,8 @@ class TestSingularFit:
         (17, 5, True, "component 2 "),  # restart 1 alone fails
         (16, 5, False, "component 4 "),  # restart 0 fails, after 3 steps
         (430, 3, True, "component 1 "),  # restart 2 fails a step before 1
+        (73, 3, False, "component 0 "),  # restart 0 fails after restart 2 stops
+        (135, 5, False, "component 0 "),  # restart 0 fails after restart 1 stops
     ])
     def test_same_error_as_sequential(self, monkeypatch, cloud_seed, k, first_ok,
                                       message):
@@ -379,6 +423,27 @@ class TestSingularFit:
             with np.errstate(all="ignore"):
                 em_gmm_fit(pts, k, seed=k, restarts=1)
         self.check(monkeypatch, pts, k, seed=k, message=message)
+
+    @pytest.mark.parametrize("cloud_seed, k, stopped, steps", [
+        (73, 3, 2, 4),
+        (135, 5, 1, 5),
+    ])
+    def test_first_restart_fails_after_a_later_one_stops(self, monkeypatch, cloud_seed,
+                                                         k, stopped, steps):
+        # the rows above whose restart 0 fails at step 6, after restart
+        # `stopped` has converged: the fit must still raise restart 0's failure
+        pts = np.random.default_rng(cloud_seed).normal(0.0, 1.0, (100, 2))
+        pts[:8] *= 1.3e77
+        calls = recorded(monkeypatch, _em_restarts)
+        with np.errstate(all="ignore"):
+            em_gmm_fit(pts, k, seed=k, max_iter=5)
+            with pytest.raises(SingularCovariance, match="component 0 "):
+                em_gmm_fit(pts, k, seed=k, max_iter=6, restarts=1)
+            (points, _, _, _, rel_tol, _, floor), fits = calls[0]
+            alone = oracles.allocating_em_once(
+                points, k, np.random.default_rng([k, stopped]), 200, rel_tol, floor)
+        assert len(fits[0].ll_history) == 5
+        assert len(fits[stopped].ll_history) == len(alone.ll_history) == steps
 
     def test_later_seeding_failure(self, monkeypatch):
         # restart 1's k-means++ weights do not sum to 1 once squared
@@ -417,6 +482,24 @@ class TestAssignClusters:
                          np.array([[-1.0, 0.0], [1.0, 0.0]]), eye, 0.0)
         got = assign_clusters(model, np.array([[0.0, 0.0]]))
         assert got[0] == 0
+
+    @pytest.mark.parametrize("density, n_cmax", [(4000, 6), (2000, 5)])
+    def test_bench_fits_match_cholesky_oracle(self, density, n_cmax):
+        # every count's winning fit on the navigate bench clouds: the labels
+        # are the argmax of the oracle's log weight plus log-density wherever
+        # its top two differ by more than 1e-9
+        pts = bench_cloud(density)
+        near_ties = 0
+        for n_c in range(2, n_cmax + 1):
+            model = em_gmm_fit(pts, n_c, seed=1009 + n_c)
+            joint = (oracles.log_gaussians(pts, model.means, model.covariances)
+                     + np.log(model.weights))
+            second, first = np.sort(joint, axis=1)[:, -2:].T
+            clear = first - second > 1e-9
+            got = assign_clusters(model, pts)
+            np.testing.assert_array_equal(got[clear], joint.argmax(axis=1)[clear])
+            near_ties += np.count_nonzero(~clear)
+        assert near_ties == 0  # the smallest gap on these fits is 1.7e-3: all are checked
 
 
 class TestClusterRatio:
